@@ -33,7 +33,7 @@ pub struct CacheState {
 }
 
 impl CacheState {
-    pub(crate) fn new(icache: Option<CacheConfig>, dcache: Option<CacheConfig>) -> CacheState {
+    fn new(icache: Option<CacheConfig>, dcache: Option<CacheConfig>) -> CacheState {
         CacheState {
             imust: icache.map(crate::MustCache::new),
             imay: icache.map(crate::MayCache::new),
@@ -136,26 +136,25 @@ pub struct CacheAnalysis {
 const MAX_LINES: usize = 64;
 
 /// Precomputed effect of one data access on the D-cache domains.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub(crate) enum DataAccess {
+enum DataAccess {
     /// Bounded candidate line set (possibly a single line).
     Lines(Vec<u32>),
     /// Too many candidates: clobber the given sets (`None` = all).
     Clobber(Option<Vec<u32>>),
 }
 
-pub(crate) struct CacheTransfer<'a> {
-    pub(crate) cfg: &'a Cfg,
-    pub(crate) icache: Option<CacheConfig>,
-    pub(crate) dcache: Option<CacheConfig>,
+struct CacheTransfer<'a> {
+    cfg: &'a Cfg,
+    icache: Option<CacheConfig>,
+    dcache: Option<CacheConfig>,
     /// Supergraph edges the value analysis proved infeasible: the cache
     /// analysis must not propagate along them, both for precision and so
     /// that every visited node has value-analysis access information.
-    pub(crate) infeasible: std::collections::HashSet<stamp_ai::IEdgeId>,
+    infeasible: std::collections::HashSet<stamp_ai::IEdgeId>,
     /// Candidate-line information per load instance, precomputed once so
     /// neither the fixpoint nor the classification replay re-enumerates
     /// value-analysis address sets.
-    pub(crate) data: HashMap<(u32, CtxId), DataAccess>,
+    data: HashMap<(u32, CtxId), DataAccess>,
 }
 
 /// The candidate line addresses of a data access, or `None` when too
@@ -181,7 +180,7 @@ pub(crate) fn lines_of(cfg: CacheConfig, addrs: &SInt, width: MemWidth) -> Optio
 /// Precomputes the D-cache effect of every load instance in the
 /// supergraph, so the fixpoint and the classification replay both read
 /// the same table instead of re-enumerating address sets per visit.
-pub(crate) fn data_accesses(
+fn data_accesses(
     dcache: Option<CacheConfig>,
     cfg: &Cfg,
     icfg: &Icfg,
@@ -230,66 +229,74 @@ pub(crate) fn sets_of(cfg: CacheConfig, addrs: &SInt) -> Option<Vec<u32>> {
 impl CacheTransfer<'_> {
     fn apply_block(&self, icfg: &Icfg, node: NodeId, state: &mut CacheState) {
         let n = icfg.node(node);
-        let block = self.cfg.block(n.block);
         let mut prev_line = None;
-        for &(addr, insn) in &block.insns {
-            // Instruction fetch. A fetch from the line just fetched is an
-            // exact no-op in all three i-domains (the line is MRU with an
-            // empty conflict record), so consecutive same-line fetches —
-            // the common case with multiple instructions per line — are
-            // skipped. Data accesses never touch the i-domains, so the
-            // skip is valid across intervening loads.
+        for &(addr, insn) in &self.cfg.block(n.block).insns {
             let line = self.icache.map(|ic| ic.line_addr(addr));
-            if line != prev_line || line.is_none() {
-                prev_line = line;
-                if let Some(m) = state.imust.as_mut() {
-                    m.access(addr);
+            let fetch_is_noop = line.is_some() && line == prev_line;
+            prev_line = line;
+            self.apply_insn(state, addr, &insn, n.ctx, fetch_is_noop);
+        }
+    }
+
+    /// Applies one instruction's cache effects. A fetch from the line
+    /// just fetched (`fetch_is_noop`) is an exact no-op in all three
+    /// i-domains (the line is MRU with an empty conflict record), so
+    /// consecutive same-line fetches — the common case with multiple
+    /// instructions per line — are skipped. Data accesses never touch
+    /// the i-domains, so the skip is valid across intervening loads.
+    fn apply_insn(
+        &self,
+        state: &mut CacheState,
+        addr: u32,
+        insn: &stamp_isa::Insn,
+        ctx: CtxId,
+        fetch_is_noop: bool,
+    ) {
+        if !fetch_is_noop {
+            if let Some(m) = state.imust.as_mut() {
+                m.access(addr);
+            }
+            if let Some(m) = state.imay.as_mut() {
+                m.access(addr);
+            }
+            if let Some(m) = state.ipers.as_mut() {
+                m.access(addr);
+            }
+        }
+        // Data access: loads allocate; stores are write-around and do
+        // not touch the cache.
+        if !insn.is_load() || self.dcache.is_none() {
+            return;
+        }
+        match self.data.get(&(addr, ctx)).expect("load effect precomputed") {
+            DataAccess::Lines(lines) => {
+                if let Some(m) = state.dmust.as_mut() {
+                    m.access_any(lines);
                 }
-                if let Some(m) = state.imay.as_mut() {
-                    m.access(addr);
+                if let Some(m) = state.dmay.as_mut() {
+                    m.access_any(lines);
                 }
-                if let Some(m) = state.ipers.as_mut() {
-                    m.access(addr);
+                if let Some(m) = state.dpers.as_mut() {
+                    m.access_any(lines);
                 }
             }
-            // Data access: loads allocate; stores are write-around and
-            // do not touch the cache.
-            if insn.is_load() {
-                if self.dcache.is_none() {
-                    continue;
+            DataAccess::Clobber(sets) => {
+                if let Some(m) = state.dmust.as_mut() {
+                    m.clobber(sets.as_deref());
                 }
-                match self.data.get(&(addr, n.ctx)).expect("load effect precomputed") {
-                    DataAccess::Lines(lines) => {
-                        if let Some(m) = state.dmust.as_mut() {
-                            m.access_any(lines);
-                        }
-                        if let Some(m) = state.dmay.as_mut() {
-                            m.access_any(lines);
-                        }
-                        if let Some(m) = state.dpers.as_mut() {
-                            m.access_any(lines);
-                        }
-                    }
-                    DataAccess::Clobber(sets) => {
-                        if let Some(m) = state.dmust.as_mut() {
-                            m.clobber(sets.as_deref());
-                        }
-                        if let Some(m) = state.dmay.as_mut() {
-                            m.clobber(sets.as_deref());
-                        }
-                        if let Some(m) = state.dpers.as_mut() {
-                            m.clobber(sets.as_deref());
-                        }
-                    }
+                if let Some(m) = state.dmay.as_mut() {
+                    m.clobber(sets.as_deref());
+                }
+                if let Some(m) = state.dpers.as_mut() {
+                    m.clobber(sets.as_deref());
                 }
             }
         }
     }
 }
 
-/// Classifies one reference against the current abstract state (shared
-/// by the monolithic replay and the per-region summary replay).
-pub(crate) fn classify(state: &CacheState, lines: &[u32], data: bool) -> Classification {
+/// Classifies one reference against the current abstract state.
+fn classify(state: &CacheState, lines: &[u32], data: bool) -> Classification {
     let (must, may, pers) = if data {
         (&state.dmust, &state.dmay, &state.dpers)
     } else {
@@ -343,25 +350,6 @@ impl CacheAnalysis {
     /// Runs the must/may/persistence analyses over the supergraph and
     /// classifies every instruction fetch and data load.
     pub fn run(hw: &HwConfig, cfg: &Cfg, icfg: &Icfg, va: &ValueAnalysis) -> CacheAnalysis {
-        CacheAnalysis::run_impl(hw, cfg, icfg, va)
-    }
-
-    /// The executable-specification analysis: naive `BTreeMap` domains
-    /// driven by the naive reference solver
-    /// ([`stamp_ai::solve_reference`]), with per-visit address
-    /// enumeration and no same-line fetch skip (see [`crate::refdom`]).
-    /// The differential tests and the `uarch` bench section compare
-    /// against it.
-    pub fn run_reference(
-        hw: &HwConfig,
-        cfg: &Cfg,
-        icfg: &Icfg,
-        va: &ValueAnalysis,
-    ) -> CacheAnalysis {
-        crate::refdom::run_reference(hw, cfg, icfg, va)
-    }
-
-    fn run_impl(hw: &HwConfig, cfg: &Cfg, icfg: &Icfg, va: &ValueAnalysis) -> CacheAnalysis {
         let mut transfer = CacheTransfer {
             cfg,
             icache: hw.icache,
@@ -373,8 +361,46 @@ impl CacheAnalysis {
         // (widening = join), so the delay value is irrelevant.
         let fixpoint = solve(icfg, &mut transfer, u32::MAX);
 
-        let (classes, ps_fetch_lines, ps_data_lines) =
-            replay_classes(&transfer, hw, cfg, icfg, &fixpoint);
+        // Replay every solved node's entry state through its block,
+        // classifying each fetch and load.
+        let mut classes = HashMap::new();
+        let mut ps_fetch_lines = std::collections::BTreeSet::new();
+        let mut ps_data_lines = std::collections::BTreeSet::new();
+        for nd in icfg.nodes() {
+            let Some(input) = fixpoint.input(nd.id) else { continue };
+            let mut s = input.clone();
+            let mut prev_line = None;
+            for &(addr, insn) in &cfg.block(nd.block).insns {
+                let line = hw.icache.map(|ic| ic.line_addr(addr));
+                let fetch = match line {
+                    Some(l) => {
+                        let c = classify(&s, &[l], false);
+                        if c == Classification::Persistent {
+                            ps_fetch_lines.insert(l);
+                        }
+                        c
+                    }
+                    None => Classification::AlwaysMiss,
+                };
+                let data = insn.is_load().then(|| match hw.dcache {
+                    Some(_) => match &transfer.data[&(addr, nd.ctx)] {
+                        DataAccess::Lines(lines) => {
+                            let c = classify(&s, lines, true);
+                            if c == Classification::Persistent {
+                                ps_data_lines.extend(lines.iter().copied());
+                            }
+                            c
+                        }
+                        DataAccess::Clobber(_) => Classification::NotClassified,
+                    },
+                    None => Classification::AlwaysMiss,
+                });
+                classes.insert((addr, nd.ctx), AccessClass { fetch, data });
+                let fetch_is_noop = line.is_some() && line == prev_line;
+                prev_line = line;
+                transfer.apply_insn(&mut s, addr, &insn, nd.ctx, fetch_is_noop);
+            }
+        }
 
         CacheAnalysis {
             classes,
@@ -384,6 +410,32 @@ impl CacheAnalysis {
             ps_data_lines,
             evaluations: fixpoint.evaluations,
         }
+    }
+
+    /// The executable-specification analysis: naive `BTreeMap` domains
+    /// driven by the naive reference solver
+    /// ([`stamp_ai::solve_reference`]), with per-visit address
+    /// enumeration and no same-line fetch skip (see `crate::refdom`).
+    /// The differential tests compare against it.
+    #[cfg(test)]
+    pub(crate) fn run_reference(
+        hw: &HwConfig,
+        cfg: &Cfg,
+        icfg: &Icfg,
+        va: &ValueAnalysis,
+    ) -> CacheAnalysis {
+        crate::refdom::run_reference(hw, cfg, icfg, va)
+    }
+
+    /// Inert; kept only so the frozen e2ebench package compiles. Remove with its uses in e2ebench/.
+    pub fn run_summarized(
+        _hw: &HwConfig,
+        _cfg: &Cfg,
+        _icfg: &Icfg,
+        _va: &ValueAnalysis,
+        _memo: &mut crate::LocalUarchMemo,
+    ) -> Option<(CacheAnalysis, ())> {
+        None
     }
 
     /// Distinct I-cache lines behind persistent fetches. Each misses at
@@ -437,122 +489,6 @@ impl CacheAnalysis {
     /// The D-cache geometry, if configured.
     pub fn dcache(&self) -> Option<CacheConfig> {
         self.dcache
-    }
-}
-
-/// Replays every solved node's abstract state through its block,
-/// classifying each fetch and load and collecting the persistent lines
-/// (shared by the monolithic run and the summarized run's inline nodes).
-type ReplayOut = (
-    HashMap<(u32, CtxId), AccessClass>,
-    std::collections::BTreeSet<u32>,
-    std::collections::BTreeSet<u32>,
-);
-
-pub(crate) fn replay_classes(
-    transfer: &CacheTransfer<'_>,
-    hw: &HwConfig,
-    cfg: &Cfg,
-    icfg: &Icfg,
-    fixpoint: &stamp_ai::Fixpoint<CacheState>,
-) -> ReplayOut {
-    let mut classes = HashMap::new();
-    let mut ps_fetch_lines = std::collections::BTreeSet::new();
-    let mut ps_data_lines = std::collections::BTreeSet::new();
-    for nd in icfg.nodes() {
-        let Some(input) = fixpoint.input(nd.id) else { continue };
-        let mut s = input.clone();
-        let block = cfg.block(nd.block);
-        let mut prev_line = None;
-        for &(addr, insn) in &block.insns {
-            let fetch = match hw.icache {
-                Some(ic) => {
-                    let c = classify(&s, &[ic.line_addr(addr)], false);
-                    if c == Classification::Persistent {
-                        ps_fetch_lines.insert(ic.line_addr(addr));
-                    }
-                    c
-                }
-                None => Classification::AlwaysMiss,
-            };
-            let data = if insn.is_load() {
-                Some(match hw.dcache {
-                    Some(_) => match transfer.data.get(&(addr, nd.ctx)) {
-                        Some(DataAccess::Lines(lines)) => {
-                            let c = classify(&s, lines, true);
-                            if c == Classification::Persistent {
-                                ps_data_lines.extend(lines.iter().copied());
-                            }
-                            c
-                        }
-                        _ => Classification::NotClassified,
-                    },
-                    None => Classification::AlwaysMiss,
-                })
-            } else {
-                None
-            };
-            classes.insert((addr, nd.ctx), AccessClass { fetch, data });
-            // Advance the state through this instruction (same
-            // same-line fetch skip as `apply_block`).
-            let line = hw.icache.map(|ic| ic.line_addr(addr));
-            let fetch_is_noop = line == prev_line && line.is_some();
-            prev_line = line;
-            apply_one(transfer, &mut s, addr, &insn, nd.ctx, fetch_is_noop);
-        }
-    }
-    (classes, ps_fetch_lines, ps_data_lines)
-}
-
-/// Applies one instruction's cache effects (helper for the
-/// classification replay).
-fn apply_one(
-    t: &CacheTransfer<'_>,
-    state: &mut CacheState,
-    addr: u32,
-    insn: &stamp_isa::Insn,
-    ctx: CtxId,
-    fetch_is_noop: bool,
-) {
-    if !fetch_is_noop {
-        if let Some(m) = state.imust.as_mut() {
-            m.access(addr);
-        }
-        if let Some(m) = state.imay.as_mut() {
-            m.access(addr);
-        }
-        if let Some(m) = state.ipers.as_mut() {
-            m.access(addr);
-        }
-    }
-    if insn.is_load() {
-        if t.dcache.is_none() {
-            return;
-        }
-        match t.data.get(&(addr, ctx)).expect("load effect precomputed") {
-            DataAccess::Lines(lines) => {
-                if let Some(m) = state.dmust.as_mut() {
-                    m.access_any(lines);
-                }
-                if let Some(m) = state.dmay.as_mut() {
-                    m.access_any(lines);
-                }
-                if let Some(m) = state.dpers.as_mut() {
-                    m.access_any(lines);
-                }
-            }
-            DataAccess::Clobber(sets) => {
-                if let Some(m) = state.dmust.as_mut() {
-                    m.clobber(sets.as_deref());
-                }
-                if let Some(m) = state.dmay.as_mut() {
-                    m.clobber(sets.as_deref());
-                }
-                if let Some(m) = state.dpers.as_mut() {
-                    m.clobber(sets.as_deref());
-                }
-            }
-        }
     }
 }
 

@@ -1,9 +1,8 @@
 //! Naive reference implementation of the cache domains.
 //!
-//! This module is the *executable specification* the optimized domains in
-//! [`crate::absdom`] and the per-procedure summaries in [`crate::summary`]
-//! are differentially tested against. Everything here favors obvious
-//! correctness over speed:
+//! This module is the test-only *executable specification* the optimized
+//! domains in [`crate::absdom`] are differentially tested against.
+//! Everything here favors obvious correctness over speed:
 //!
 //! * abstract cache sets are plain `BTreeMap`s (no inline arrays, no
 //!   copy-on-write sharing),
@@ -16,9 +15,7 @@
 //!
 //! The fixpoint is driven by [`stamp_ai::solve_reference`], the naive
 //! chaotic-iteration solver. [`CacheAnalysis::run_reference`] produces a
-//! full [`CacheAnalysis`] from these domains; the `uarch` bench section
-//! uses its wall time as the honest baseline the summarized analysis is
-//! measured against.
+//! full [`CacheAnalysis`] from these domains.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 

@@ -290,9 +290,6 @@ pub(crate) fn encode_artifact(phase: PhaseId, any: &(dyn Any + Send + Sync)) -> 
         PhaseId::Path => enc::<stamp_path::WcetResult>(any),
         PhaseId::Stack => enc::<crate::stack_tool::StackReport>(any),
         PhaseId::Summary => enc::<stamp_path::SegmentSummary>(any),
-        // The payload is already the summary's canonical byte form; the
-        // consuming analysis validates it structurally on decode.
-        PhaseId::Uarch => enc::<Vec<u8>>(any),
     }
 }
 
@@ -318,7 +315,6 @@ pub(crate) fn decode_artifact(
         PhaseId::Path => dec::<stamp_path::WcetResult>(bytes),
         PhaseId::Stack => dec::<crate::stack_tool::StackReport>(bytes),
         PhaseId::Summary => dec::<stamp_path::SegmentSummary>(bytes),
-        PhaseId::Uarch => dec::<Vec<u8>>(bytes),
     }
 }
 
@@ -428,6 +424,58 @@ mod tests {
         let (store, warnings) = DiskStore::open(&dir).unwrap();
         assert!(warnings.is_empty());
         assert_eq!(store.len(), 1);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A log written before the `uarch` phase was removed: valid magic
+    /// and format version, well-framed records (one of them under the
+    /// old phase index 10), but a schema fingerprint over the old phase
+    /// vocabulary. It is rejected as a whole at the header — never
+    /// scanned and cut mid-log.
+    #[test]
+    fn old_phase_vocabulary_starts_fresh() {
+        let old_phases = [
+            "assemble",
+            "cfg",
+            "context",
+            "value",
+            "loopbound",
+            "cache",
+            "pipeline",
+            "path",
+            "stack",
+            "summary",
+            "uarch",
+        ];
+        let mut schema = Fp::new("stamp/store-disk/schema");
+        schema.u32(ARTIFACT_CODEC_VERSION);
+        for name in old_phases {
+            schema.str(name);
+        }
+        let schema = schema.finish();
+        assert_ne!(schema, schema_fingerprint());
+
+        let mut log = Vec::new();
+        log.extend_from_slice(MAGIC);
+        log.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+        log.extend_from_slice(&schema.to_bytes());
+        for (phase, n) in [(PhaseId::Cfg.index() as u8, 1), (10u8, 2)] {
+            let mut payload = vec![phase];
+            payload.extend_from_slice(&fp(n).to_bytes());
+            payload.extend_from_slice(b"old artifact");
+            log.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            log.extend_from_slice(&crc32(&payload).to_le_bytes());
+            log.extend_from_slice(&payload);
+        }
+        let dir = tmp_dir("old-schema");
+        fs::create_dir_all(&dir).unwrap();
+        fs::write(dir.join(LOG_NAME), &log).unwrap();
+        let (store, warnings) = DiskStore::open(&dir).unwrap();
+        assert_eq!(warnings.len(), 1, "{warnings:?}");
+        assert!(warnings[0].contains("incompatible header"), "{warnings:?}");
+        assert_eq!(store.len(), 0);
+        assert!(store.get(PhaseId::Cfg, fp(1)).is_none());
+        assert_eq!(fs::metadata(store.path()).unwrap().len(), HEADER_LEN);
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -31,8 +31,6 @@
 //! `"interval"`, `"strided"`), `widen_delay`, `small_set` (value
 //! analysis), `use_infeasible` (bool, ILP), `summaries` (bool, solve
 //! the path ILP via memoized per-segment summaries; default true),
-//! `uarch_summaries` (bool, compose cache/pipeline analyses from
-//! per-region microarchitectural summaries; default true),
 //! `sampling` (probabilistic path sampling: `{}` for the defaults or
 //! `{"samples": N, "seed": N}`).
 //!
@@ -249,7 +247,6 @@ fn parse_variant(v: &Json) -> Result<BatchVariant, ManifestError> {
             "small_set",
             "use_infeasible",
             "summaries",
-            "uarch_summaries",
             "sampling",
         ],
     )?;
@@ -324,10 +321,6 @@ fn parse_variant(v: &Json) -> Result<BatchVariant, ManifestError> {
         config.summaries =
             u.as_bool().ok_or(ManifestError("`summaries` must be a boolean".into()))?;
     }
-    if let Some(u) = v.get("uarch_summaries") {
-        config.uarch_summaries =
-            u.as_bool().ok_or(ManifestError("`uarch_summaries` must be a boolean".into()))?;
-    }
     let mut sampling = None;
     if let Some(s) = v.get("sampling") {
         if s.as_obj().is_none() {
@@ -371,7 +364,7 @@ mod tests {
               "variants": [
                 {"name": "default"},
                 {"name": "lean", "hw": "no-cache", "peel": 0, "domain": "interval",
-                 "widen_delay": 4, "use_infeasible": false, "uarch_summaries": false}
+                 "widen_delay": 4, "use_infeasible": false}
               ]
             }"#,
             Path::new("."),
@@ -383,7 +376,6 @@ mod tests {
         assert!(lean.config.hw.icache.is_none());
         assert_eq!(lean.config.vivu.peel, 0);
         assert!(!lean.config.use_infeasible);
-        assert!(!lean.config.uarch_summaries);
         assert!(!req.jobs[2].wcet);
     }
 
@@ -423,6 +415,11 @@ mod tests {
                 r#"{"targets": [{"benchmark": "crc"}],
                     "variants": [{"name": "a", "peels": 0}]}"#,
                 "unknown variant key `peels`",
+            ),
+            (
+                r#"{"targets": [{"benchmark": "crc"}],
+                    "variants": [{"name": "x", "uarch_summaries": false}]}"#,
+                "unknown variant key `uarch_summaries`",
             ),
             (
                 r#"{"targets": [{"benchmark": "crc"}, {"benchmark": "crc"}]}"#,

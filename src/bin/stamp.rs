@@ -342,10 +342,10 @@ fn batch(args: &[String]) -> Result<(), CliError> {
         // Same comparison as `kernel_bench --check` (the shared
         // stamp_bench::pins::check_corpus helper), so the two pin gates
         // cannot diverge.
-        let measured: Vec<stamp::bench::pins::MeasuredTask> = report
+        let measured: Vec<stamp_bench::pins::MeasuredTask> = report
             .results
             .iter()
-            .map(|r| stamp::bench::pins::MeasuredTask {
+            .map(|r| stamp_bench::pins::MeasuredTask {
                 name: r.name.clone(),
                 wcet: r.wcet,
                 stack: r.stack,
@@ -354,7 +354,7 @@ fn batch(args: &[String]) -> Result<(), CliError> {
                 data: r.data,
             })
             .collect();
-        drift = stamp::bench::pins::check_corpus(&measured);
+        drift = stamp_bench::pins::check_corpus(&measured);
     }
     if !drift.is_empty() {
         for d in &drift {

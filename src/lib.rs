@@ -43,7 +43,6 @@
 
 // The subsystem crates, under their natural names.
 pub use stamp_ai as ai;
-pub use stamp_bench as bench;
 pub use stamp_cache as cache;
 pub use stamp_cfg as cfg;
 pub use stamp_core as analyzer;
