@@ -74,15 +74,12 @@
 //!
 //! The **procedure-summary path solver** is measured under a
 //! `summaries` key: the E6 scaling series (extended to 640 constructs)
-//! analyzed twice per size — once with the monolithic whole-iCFG ILP
-//! (`summaries: false`) and once with the per-segment summary solver —
-//! comparing the path-phase wall time alone. `--check` gates on the
-//! WCET bounds being identical in both modes at every size (the
-//! summary decomposition is exact, not an approximation), on the
-//! summarized solver beating the monolithic one by ≥ 25× at the
-//! largest size, and on its wall time growing no faster than the ILP
-//! itself across the 64 → 640 decade (sub-linear in solver terms —
-//! the monolithic solve grows super-linearly over the same span).
+//! analyzed per size, timing the path phase alone. `--check` gates on
+//! the WCET bound and ILP size equalling the monolithic reference solve
+//! (`stamp_path::analyze_reference` over the same phase artifacts) at
+//! every size — the summary decomposition is exact, not an
+//! approximation — and on the path wall time growing no faster than
+//! the ILP itself across the 64 → 640 decade.
 //!
 //! The emitted JSON carries a `before` section: wall times recorded with
 //! this same harness at the pre-refactor kernel (commit 848c9d7, full
@@ -270,16 +267,16 @@ fn scaling_rows(reps: usize) -> Vec<ScalingRow> {
     rows
 }
 
-/// One E6 program analyzed in both path-solver modes: the monolithic
-/// whole-iCFG ILP versus the per-segment procedure-summary solver.
+/// One E6 program's path phase: the per-segment procedure-summary
+/// solver's wall time and counts, and whether its result matches the
+/// monolithic reference solve.
 struct SummaryRow {
     constructs: usize,
     nodes: usize,
     ilp_vars: usize,
-    inlined_path_ms: f64,
     summarized_path_ms: f64,
-    inlined_wcet: u64,
-    summarized_wcet: u64,
+    /// WCET and ILP size both equal [`stamp_path::analyze_reference`]'s.
+    matches_reference: bool,
     summaries_computed: u64,
     summaries_reused: u64,
 }
@@ -307,9 +304,9 @@ fn best_path_ms(reps: usize, mut f: impl FnMut() -> WcetReport) -> (f64, WcetRep
 
 /// The procedure-summary workload: the E6 series (same rng discipline
 /// as [`scaling_rows`], so the programs are identical) with the path
-/// phase timed in both modes. The monolithic solve is super-linear —
-/// at 640 constructs it runs for ~21 s — so past 64 constructs it is
-/// measured once instead of `reps` times.
+/// phase timed. The reference solve runs once per size, untimed, on
+/// the artifacts of the last timed run; it is super-linear (about 30 s
+/// at 640 constructs).
 fn summaries_rows(reps: usize) -> Vec<SummaryRow> {
     let mut rng = StdRng::seed_from_u64(0xE6);
     let mut rows = Vec::new();
@@ -317,20 +314,31 @@ fn summaries_rows(reps: usize) -> Vec<SummaryRow> {
         let cfg = GenConfig { constructs, functions: 2, ..GenConfig::default() };
         let src = generate(&mut rng, &cfg);
         let program = assemble(&src).expect("generated");
-        let (summarized_path_ms, summarized) =
-            best_path_ms(reps, || WcetAnalysis::new(&program).run().expect("summarized analysis"));
-        let inlined_reps = if constructs > 64 { 1 } else { reps };
-        let (inlined_path_ms, inlined) = best_path_ms(inlined_reps, || {
-            WcetAnalysis::new(&program).summaries(false).run().expect("inlined analysis")
+        let mut artifacts = None;
+        let (summarized_path_ms, summarized) = best_path_ms(reps, || {
+            let (report, a) = WcetAnalysis::new(&program)
+                .run_full(&ArtifactStore::disabled())
+                .expect("summarized analysis");
+            artifacts = Some(a);
+            report
         });
+        let a = artifacts.expect("at least one rep");
+        let reference = stamp_path::analyze_reference(
+            &a.cfg,
+            &a.icfg,
+            &a.va,
+            &a.lb,
+            &a.pa,
+            &stamp_path::PathOptions::default(),
+        )
+        .expect("reference path analysis");
         rows.push(SummaryRow {
             constructs,
             nodes: summarized.nodes,
             ilp_vars: summarized.ilp_size.0,
-            inlined_path_ms,
             summarized_path_ms,
-            inlined_wcet: inlined.wcet,
-            summarized_wcet: summarized.wcet,
+            matches_reference: a.path.wcet == reference.wcet
+                && a.path.ilp_size == reference.ilp_size,
             summaries_computed: summarized.summaries_computed,
             summaries_reused: summarized.summaries_reused,
         });
@@ -1052,7 +1060,7 @@ fn main() {
     let corpus: Vec<CorpusRow> = benchmarks().iter().map(|b| corpus_row(b.name, reps)).collect();
     eprintln!("kernel_bench: scaling series...");
     let scaling = scaling_rows(reps);
-    eprintln!("kernel_bench: procedure summaries (monolithic vs summarized path solver)...");
+    eprintln!("kernel_bench: procedure summaries (path solver vs monolithic reference)...");
     let summaries = summaries_rows(reps);
     eprintln!("kernel_bench: matmult phase breakdown...");
     let phases = phase_rows(reps);
@@ -1091,7 +1099,6 @@ fn main() {
     // 64 → 640 decade the tentpole claims.
     let sum_base = summaries.iter().find(|r| r.constructs == 64).expect("64 in series");
     let sum_top = summaries.last().expect("nonempty series");
-    let endpoint_speedup = sum_top.inlined_path_ms / sum_top.summarized_path_ms.max(1e-9);
     let summarized_growth = sum_top.summarized_path_ms / sum_base.summarized_path_ms.max(1e-9);
     let ilp_growth = sum_top.ilp_vars as f64 / sum_base.ilp_vars as f64;
 
@@ -1121,27 +1128,18 @@ fn main() {
             }
         }
         // The procedure-summary gates: the segment decomposition must be
-        // exact — the summarized WCET bound byte-identical to the
-        // monolithic one at every size — must beat the monolithic
-        // solver by ≥ 25× at the largest size (measured ~2000×), and
-        // its wall time must grow no faster than the ILP itself across
-        // the 64 → 640 decade (3× slack for timer noise on the sub-ms
-        // base; the monolithic solve grows ~20× faster than its ILP
-        // over the same span).
+        // exact — WCET bound and ILP size equal to the monolithic
+        // reference at every size — and its wall time must grow no
+        // faster than the ILP itself across the 64 → 640 decade (3×
+        // slack for timer noise on the sub-ms base).
         for r in &summaries {
-            if r.inlined_wcet != r.summarized_wcet {
+            if !r.matches_reference {
                 drift.push(format!(
-                    "summaries/{}: summarized WCET {} != monolithic WCET {}",
-                    r.constructs, r.summarized_wcet, r.inlined_wcet
+                    "summaries/{}: summarized WCET or ILP size differs from the monolithic \
+                     reference",
+                    r.constructs
                 ));
             }
-        }
-        if endpoint_speedup < 25.0 {
-            drift.push(format!(
-                "summaries: summarized path solve only {endpoint_speedup:.1}x faster than \
-                 monolithic at {} constructs (floor 25x)",
-                sum_top.constructs
-            ));
         }
         if summarized_growth > 3.0 * ilp_growth {
             drift.push(format!(
@@ -1373,12 +1371,8 @@ fn main() {
                                     ("constructs", Json::int(r.constructs as u64)),
                                     ("nodes", Json::int(r.nodes as u64)),
                                     ("ilp_vars", Json::int(r.ilp_vars as u64)),
-                                    ("inlined_path_ms", Json::Num(r.inlined_path_ms)),
                                     ("summarized_path_ms", Json::Num(r.summarized_path_ms)),
-                                    (
-                                        "wcet_identical",
-                                        Json::Bool(r.inlined_wcet == r.summarized_wcet),
-                                    ),
+                                    ("matches_reference", Json::Bool(r.matches_reference)),
                                     ("summaries_computed", Json::int(r.summaries_computed)),
                                     ("summaries_reused", Json::int(r.summaries_reused)),
                                 ])
@@ -1386,7 +1380,6 @@ fn main() {
                             .collect(),
                     ),
                 ),
-                ("endpoint_speedup", Json::Num(endpoint_speedup)),
                 ("summarized_growth_64_to_max", Json::Num(summarized_growth)),
                 ("ilp_growth_64_to_max", Json::Num(ilp_growth)),
             ]),
@@ -1573,12 +1566,10 @@ fn main() {
         serve.identical_to_batch,
     );
     eprintln!(
-        "kernel_bench: procedure summaries: path solve at {} constructs {:.1} ms monolithic vs \
-         {:.2} ms summarized ({:.0}x); wall grew {:.1}x over 64→{} vs ILP {:.1}x",
+        "kernel_bench: procedure summaries: path solve at {} constructs {:.2} ms; wall grew \
+         {:.1}x over 64→{} vs ILP {:.1}x",
         sum_top.constructs,
-        sum_top.inlined_path_ms,
         sum_top.summarized_path_ms,
-        endpoint_speedup,
         summarized_growth,
         sum_top.constructs,
         ilp_growth,

@@ -21,7 +21,7 @@ use stamp_cfg::{Cfg, CfgBuilder};
 use stamp_hw::HwConfig;
 use stamp_isa::Program;
 use stamp_loopbound::{LoopBoundAnalysis, LoopBoundOptions};
-use stamp_path::{PathOptions, WcetResult};
+use stamp_path::{LocalMemo, PathOptions, WcetResult};
 use stamp_pipeline::PipelineAnalysis;
 use stamp_value::{FrozenValueAnalysis, ValueAnalysis, ValueOptions};
 
@@ -43,10 +43,7 @@ pub struct AnalysisConfig {
     pub value: ValueOptions,
     /// Use infeasible-path facts in the ILP (E4 ablation switch).
     pub use_infeasible: bool,
-    /// Solve the path ILP via memoized per-segment summaries shared
-    /// through the artifact store (see `stamp_path::SummaryMemo`); the
-    /// WCET is exactly the monolithic optimum. Disable to force the
-    /// whole-supergraph solve.
+    /// Inert; kept only so the frozen e2ebench package compiles. Remove with its uses in e2ebench/.
     pub summaries: bool,
     /// Inert; kept only so the frozen e2ebench package compiles. Remove with its uses in e2ebench/.
     pub uarch_summaries: bool,
@@ -94,75 +91,6 @@ pub(crate) fn value_phase(
             guard.fulfill(Ok(Arc::new(va.freeze())));
             (va, false)
         }
-    }
-}
-
-/// Routes segment-summary lookups through the shared [`ArtifactStore`]
-/// (with a job-local front cache), so isomorphic supergraph segments
-/// are solved once per store — across call sites, batch jobs, `serve`
-/// requests, and, with a durable backend, processes. Solve errors are
-/// never published: dropping the fill guard releases the claim.
-struct StoreSummaryMemo<'s> {
-    store: &'s ArtifactStore,
-    local: std::cell::RefCell<std::collections::HashMap<Vec<u8>, Arc<stamp_path::SegmentSummary>>>,
-    /// Segments this job actually solved / recalled (local or store).
-    computed: std::cell::Cell<u64>,
-    reused: std::cell::Cell<u64>,
-}
-
-impl<'s> StoreSummaryMemo<'s> {
-    fn new(store: &'s ArtifactStore) -> StoreSummaryMemo<'s> {
-        StoreSummaryMemo {
-            store,
-            local: Default::default(),
-            computed: Default::default(),
-            reused: Default::default(),
-        }
-    }
-
-    fn solve_counted(
-        &self,
-        solve: &mut dyn FnMut() -> Result<stamp_path::SegmentSummary, stamp_path::PathError>,
-    ) -> Result<Arc<stamp_path::SegmentSummary>, stamp_path::PathError> {
-        let summary = Arc::new(solve()?);
-        self.computed.set(self.computed.get() + 1);
-        Ok(summary)
-    }
-}
-
-impl stamp_path::SummaryMemo for StoreSummaryMemo<'_> {
-    fn summarize(
-        &self,
-        canonical: &[u8],
-        solve: &mut dyn FnMut() -> Result<stamp_path::SegmentSummary, stamp_path::PathError>,
-    ) -> Result<Arc<stamp_path::SegmentSummary>, stamp_path::PathError> {
-        if let Some(hit) = self.local.borrow().get(canonical) {
-            self.reused.set(self.reused.get() + 1);
-            return Ok(hit.clone());
-        }
-        let fp = phase::summary_fingerprint(canonical);
-        let summary = match self.store.claim(PhaseId::Summary, fp) {
-            ArtifactClaim::Disabled => self.solve_counted(solve)?,
-            ArtifactClaim::Ready(stored) => match stored.ok().and_then(|any| any.downcast().ok()) {
-                Some(summary) => {
-                    self.reused.set(self.reused.get() + 1);
-                    summary
-                }
-                // A summary slot never holds an error or a foreign
-                // type; recover by solving locally if one ever does.
-                None => self.solve_counted(solve)?,
-            },
-            ArtifactClaim::Fill(guard) => {
-                // On a solve error the guard is dropped unfulfilled,
-                // releasing the claim — segment errors are not cached
-                // (the path phase itself caches the job-level error).
-                let summary = self.solve_counted(solve)?;
-                guard.fulfill(Ok(summary.clone()));
-                summary
-            }
-        };
-        self.local.borrow_mut().insert(canonical.to_vec(), summary.clone());
-        Ok(summary)
     }
 }
 
@@ -248,13 +176,6 @@ impl<'p> WcetAnalysis<'p> {
     /// Enables or disables infeasible-path pruning in the ILP.
     pub fn use_infeasible(mut self, on: bool) -> Self {
         self.config.use_infeasible = on;
-        self
-    }
-
-    /// Enables or disables the summarized (per-segment, memoized) path
-    /// solve.
-    pub fn summaries(mut self, on: bool) -> Self {
-        self.config.summaries = on;
         self
     }
 
@@ -439,18 +360,11 @@ impl<'p> WcetAnalysis<'p> {
         // ---- Phase 6: path analysis (IPET).
         stamp_exec::cancel::checkpoint_now();
         let t = Instant::now();
-        let path_fp = phase::path_fingerprint(
-            pipeline_fp,
-            lb_fp,
-            cfg_opts.use_infeasible,
-            cfg_opts.summaries,
-        );
-        let memo = StoreSummaryMemo::new(store);
+        let path_fp = phase::path_fingerprint(pipeline_fp, lb_fp, cfg_opts.use_infeasible);
+        let memo = LocalMemo::default();
         let (result, reused) = store.get_or_compute(PhaseId::Path, path_fp, || {
-            let path_opts = PathOptions {
-                use_infeasible: cfg_opts.use_infeasible,
-                summaries: cfg_opts.summaries,
-            };
+            let path_opts =
+                PathOptions { use_infeasible: cfg_opts.use_infeasible, ..PathOptions::default() };
             stamp_path::analyze_with_memo(&cfg, &icfg, &va, &lb, &pa, &path_opts, &memo)
                 .map_err(AnalysisError::from)
         })?;
@@ -461,7 +375,7 @@ impl<'p> WcetAnalysis<'p> {
         });
         // Zero/zero when the whole path artifact was reused (or the
         // program offered no decomposition).
-        let (summaries_computed, summaries_reused) = (memo.computed.get(), memo.reused.get());
+        let (summaries_computed, summaries_reused) = (memo.computed(), memo.reused());
 
         let report = WcetReport::assemble(
             program,

@@ -482,15 +482,6 @@ fn run_job(job: &BatchJob, store: &ArtifactStore) -> JobResult {
                         result.fetch = [f.hit, f.miss, f.persistent, f.unclassified];
                         result.data = [d.hit, d.miss, d.persistent, d.unclassified];
                         note(&report.phases, &mut result);
-                        // Segment-summary provenance, one entry per
-                        // summary this job touched — timing layer only,
-                        // mirroring the per-phase entries above.
-                        for _ in 0..report.summaries_computed {
-                            result.provenance.push((PhaseId::Summary, false));
-                        }
-                        for _ in 0..report.summaries_reused {
-                            result.provenance.push((PhaseId::Summary, true));
-                        }
                         // Sampling rides on the finished phase DAG: no
                         // phase is recomputed, only walked.
                         if let Some(params) = &job.sampling {

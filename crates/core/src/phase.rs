@@ -23,9 +23,8 @@
 //! | `loopbound`| `value` + resolved loop-bound annotations + iteration cap |
 //! | `cache`    | `value` + I/D cache geometries |
 //! | `pipeline` | `cache` + the whole `HwConfig` (timing and caches) |
-//! | `path`     | `pipeline` + `loopbound` + `use_infeasible` + `summaries` |
+//! | `path`     | `pipeline` + `loopbound` + `use_infeasible` |
 //! | `stack`    | `value` (default-VIVU chain) + resolved recursion depths |
-//! | `summary`  | the canonical byte form of one supergraph segment's ILP |
 //!
 //! Notably *absent* dependencies are what make cross-variant sharing
 //! work: the CFG does not depend on any hardware knob, and the value
@@ -66,16 +65,11 @@ pub enum PhaseId {
     Path,
     /// Value analysis (default-VIVU prefix) → stack bound.
     Stack,
-    /// One canonical supergraph segment → its solved ILP summary
-    /// (sub-artifacts of the path phase, shared across call sites,
-    /// jobs and processes). Appended after `Stack` so the dense
-    /// indices of the earlier phases stay stable on disk.
-    Summary,
 }
 
 impl PhaseId {
     /// Every phase, in pipeline order.
-    pub const ALL: [PhaseId; 10] = [
+    pub const ALL: [PhaseId; 9] = [
         PhaseId::Assemble,
         PhaseId::Cfg,
         PhaseId::Context,
@@ -85,7 +79,6 @@ impl PhaseId {
         PhaseId::Pipeline,
         PhaseId::Path,
         PhaseId::Stack,
-        PhaseId::Summary,
     ];
 
     /// Dense index (for per-phase counters).
@@ -110,7 +103,6 @@ impl PhaseId {
             PhaseId::Pipeline => "pipeline",
             PhaseId::Path => "path",
             PhaseId::Stack => "stack",
-            PhaseId::Summary => "summary",
         }
     }
 
@@ -127,7 +119,6 @@ impl PhaseId {
             PhaseId::Pipeline => "pipeline analysis",
             PhaseId::Path => "path analysis (ILP)",
             PhaseId::Stack => "stack analysis",
-            PhaseId::Summary => "procedure summaries",
         }
     }
 }
@@ -291,31 +282,16 @@ pub fn pipeline_fingerprint(cache: Fingerprint, hw: &HwConfig) -> Fingerprint {
     fp.finish()
 }
 
-/// `path`: pipeline times, loop bounds, the infeasible-path switch,
-/// and the summarized-solve switch. The two solve modes prove the same
-/// WCET but may pick different witness paths, so their artifacts must
-/// not mix.
+/// `path`: pipeline times, loop bounds and the infeasible-path switch.
 pub fn path_fingerprint(
     pipeline: Fingerprint,
     loopbound: Fingerprint,
     use_infeasible: bool,
-    summaries: bool,
 ) -> Fingerprint {
-    let mut fp = Fp::new("stamp/path/2");
+    let mut fp = Fp::new("stamp/path/3");
     fp.fp(pipeline);
     fp.fp(loopbound);
     fp.bool(use_infeasible);
-    fp.bool(summaries);
-    fp.finish()
-}
-
-/// `summary`: a segment summary is keyed by nothing but the canonical
-/// byte form of its ILP — that form already encodes every objective
-/// coefficient and constraint, so isomorphic segments from different
-/// programs, variants or processes share one artifact.
-pub fn summary_fingerprint(canonical: &[u8]) -> Fingerprint {
-    let mut fp = Fp::new("stamp/summary/1");
-    fp.bytes(canonical);
     fp.finish()
 }
 
@@ -416,10 +392,7 @@ pub fn plan_job(job: &BatchJob) -> Result<Vec<PhaseRequest>, String> {
         push(PhaseId::Cache, ca);
         let pi = pipeline_fingerprint(ca, &job.config.hw);
         push(PhaseId::Pipeline, pi);
-        push(
-            PhaseId::Path,
-            path_fingerprint(pi, lb, job.config.use_infeasible, job.config.summaries),
-        );
+        push(PhaseId::Path, path_fingerprint(pi, lb, job.config.use_infeasible));
     }
     Ok(requests)
 }

@@ -70,12 +70,12 @@ pub struct WcetReport {
     pub ilp_size: (usize, usize),
     /// Per-phase durations.
     pub phases: Vec<PhaseStats>,
-    /// Path-segment summaries this run solved (provenance, timing
-    /// layer only — like [`PhaseStats::reused`] it depends on what the
-    /// shared store already held, so it is kept out of every
-    /// deterministic rendering).
+    /// Path-segment summaries this run solved (timing layer only —
+    /// like [`PhaseStats::reused`] it is zero when the path artifact
+    /// came out of the store, so it is kept out of every deterministic
+    /// rendering).
     pub summaries_computed: u64,
-    /// Path-segment summaries recalled from a memo or the store.
+    /// Path-segment summaries recalled from the analysis-local memo.
     pub summaries_reused: u64,
     /// Inert; kept only so the frozen e2ebench package compiles. Remove with its uses in e2ebench/.
     pub uarch_computed: u64,

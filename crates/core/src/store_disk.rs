@@ -289,7 +289,6 @@ pub(crate) fn encode_artifact(phase: PhaseId, any: &(dyn Any + Send + Sync)) -> 
         PhaseId::Pipeline => enc::<stamp_pipeline::PipelineAnalysis>(any),
         PhaseId::Path => enc::<stamp_path::WcetResult>(any),
         PhaseId::Stack => enc::<crate::stack_tool::StackReport>(any),
-        PhaseId::Summary => enc::<stamp_path::SegmentSummary>(any),
     }
 }
 
@@ -314,7 +313,6 @@ pub(crate) fn decode_artifact(
         PhaseId::Pipeline => dec::<stamp_pipeline::PipelineAnalysis>(bytes),
         PhaseId::Path => dec::<stamp_path::WcetResult>(bytes),
         PhaseId::Stack => dec::<crate::stack_tool::StackReport>(bytes),
-        PhaseId::Summary => dec::<stamp_path::SegmentSummary>(bytes),
     }
 }
 
@@ -427,14 +425,15 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// A log written before the `uarch` phase was removed: valid magic
-    /// and format version, well-framed records (one of them under the
-    /// old phase index 10), but a schema fingerprint over the old phase
-    /// vocabulary. It is rejected as a whole at the header — never
-    /// scanned and cut mid-log.
+    /// Logs written before the `uarch` and then the `summary` phase
+    /// were removed: valid magic and format version, well-framed
+    /// records (one of them under the removed phase's old index), but a
+    /// schema fingerprint over the old phase vocabulary. Each is
+    /// rejected as a whole at the header — never scanned and cut
+    /// mid-log.
     #[test]
     fn old_phase_vocabulary_starts_fresh() {
-        let old_phases = [
+        let parent = [
             "assemble",
             "cfg",
             "context",
@@ -445,38 +444,41 @@ mod tests {
             "path",
             "stack",
             "summary",
-            "uarch",
         ];
-        let mut schema = Fp::new("stamp/store-disk/schema");
-        schema.u32(ARTIFACT_CODEC_VERSION);
-        for name in old_phases {
-            schema.str(name);
-        }
-        let schema = schema.finish();
-        assert_ne!(schema, schema_fingerprint());
+        let with_uarch: Vec<&str> = parent.iter().copied().chain(["uarch"]).collect();
+        for old_phases in [&with_uarch[..], &parent[..]] {
+            let mut schema = Fp::new("stamp/store-disk/schema");
+            schema.u32(ARTIFACT_CODEC_VERSION);
+            for name in old_phases {
+                schema.str(name);
+            }
+            let schema = schema.finish();
+            assert_ne!(schema, schema_fingerprint(), "{old_phases:?}");
 
-        let mut log = Vec::new();
-        log.extend_from_slice(MAGIC);
-        log.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-        log.extend_from_slice(&schema.to_bytes());
-        for (phase, n) in [(PhaseId::Cfg.index() as u8, 1), (10u8, 2)] {
-            let mut payload = vec![phase];
-            payload.extend_from_slice(&fp(n).to_bytes());
-            payload.extend_from_slice(b"old artifact");
-            log.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-            log.extend_from_slice(&crc32(&payload).to_le_bytes());
-            log.extend_from_slice(&payload);
+            let mut log = Vec::new();
+            log.extend_from_slice(MAGIC);
+            log.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+            log.extend_from_slice(&schema.to_bytes());
+            let removed = (old_phases.len() - 1) as u8;
+            for (phase, n) in [(PhaseId::Cfg.index() as u8, 1), (removed, 2)] {
+                let mut payload = vec![phase];
+                payload.extend_from_slice(&fp(n).to_bytes());
+                payload.extend_from_slice(b"old artifact");
+                log.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+                log.extend_from_slice(&crc32(&payload).to_le_bytes());
+                log.extend_from_slice(&payload);
+            }
+            let dir = tmp_dir(&format!("old-schema-{}", old_phases.len()));
+            fs::create_dir_all(&dir).unwrap();
+            fs::write(dir.join(LOG_NAME), &log).unwrap();
+            let (store, warnings) = DiskStore::open(&dir).unwrap();
+            assert_eq!(warnings.len(), 1, "{warnings:?}");
+            assert!(warnings[0].contains("incompatible header"), "{warnings:?}");
+            assert_eq!(store.len(), 0);
+            assert!(store.get(PhaseId::Cfg, fp(1)).is_none());
+            assert_eq!(fs::metadata(store.path()).unwrap().len(), HEADER_LEN);
+            fs::remove_dir_all(&dir).unwrap();
         }
-        let dir = tmp_dir("old-schema");
-        fs::create_dir_all(&dir).unwrap();
-        fs::write(dir.join(LOG_NAME), &log).unwrap();
-        let (store, warnings) = DiskStore::open(&dir).unwrap();
-        assert_eq!(warnings.len(), 1, "{warnings:?}");
-        assert!(warnings[0].contains("incompatible header"), "{warnings:?}");
-        assert_eq!(store.len(), 0);
-        assert!(store.get(PhaseId::Cfg, fp(1)).is_none());
-        assert_eq!(fs::metadata(store.path()).unwrap().len(), HEADER_LEN);
-        fs::remove_dir_all(&dir).unwrap();
     }
 
     /// A sink whose every write fails — ENOSPC, a yanked volume, lost

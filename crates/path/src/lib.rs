@@ -36,7 +36,7 @@ use stamp_value::ValueAnalysis;
 
 mod summary;
 
-pub use summary::{LocalMemo, NoMemo, SegmentSummary, SummaryMemo};
+pub use summary::LocalMemo;
 
 /// Errors from the path analysis.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -85,10 +85,7 @@ pub struct PathOptions {
     /// Pin value-analysis-infeasible edges to zero (disable for the E4
     /// ablation).
     pub use_infeasible: bool,
-    /// Decompose the ILP at series cut points and solve memoized
-    /// per-segment summaries (see [`SummaryMemo`]); the composed
-    /// optimum is exactly the monolithic one. Disable to force the
-    /// single whole-supergraph solve.
+    /// Inert; kept only so the frozen e2ebench package compiles. Remove with its uses in e2ebench/.
     pub summaries: bool,
 }
 
@@ -187,8 +184,9 @@ struct Instance {
 /// The fully constructed IPET ILP plus the structure the summarized
 /// solve needs: per-edge objective coefficients, loop instances, and
 /// infeasibility pins. The monolithic problem is always built — its
-/// construction is linear and it pins down `ilp_size` identically in
-/// both modes — but in summarized mode only the segments are solved.
+/// construction is linear and it pins down `ilp_size` identically for
+/// [`analyze`] and [`analyze_reference`] — but [`analyze`] solves it
+/// only when decomposition steps aside.
 struct Formula {
     lp: LpProblem,
     /// ILP variable per supergraph edge, dense by edge index.
@@ -205,11 +203,11 @@ struct Formula {
 
 /// Runs the IPET path analysis.
 ///
-/// With `options.summaries` set (the default) the ILP is decomposed at
-/// series cut points and solved per segment with an analysis-local
-/// memo, so repeated procedure bodies are solved once; the result is
-/// exactly the monolithic optimum. Use [`analyze_with_memo`] to share
-/// segment summaries beyond a single call.
+/// The ILP is decomposed at series cut points and solved per segment
+/// with an analysis-local [`LocalMemo`], so repeated procedure bodies
+/// are solved once; the result is exactly the monolithic optimum of
+/// [`analyze_reference`]. A program that offers no valid decomposition
+/// is solved as one ILP.
 ///
 /// # Errors
 ///
@@ -226,9 +224,9 @@ pub fn analyze(
     analyze_with_memo(cfg, icfg, va, lb, pa, options, &LocalMemo::default())
 }
 
-/// [`analyze`] with an explicit segment-summary memo, letting callers
-/// share summaries across programs, jobs, and processes (ignored when
-/// `options.summaries` is off).
+/// [`analyze`] with a caller-held memo, whose [`LocalMemo::computed`]
+/// and [`LocalMemo::reused`] counts report how many segments this run
+/// solved and recalled.
 pub fn analyze_with_memo(
     cfg: &Cfg,
     icfg: &Icfg,
@@ -236,24 +234,54 @@ pub fn analyze_with_memo(
     lb: &LoopBoundAnalysis,
     pa: &PipelineAnalysis,
     options: &PathOptions,
-    memo: &dyn SummaryMemo,
+    memo: &LocalMemo,
 ) -> Result<WcetResult, PathError> {
-    if let Some(&addr) = cfg.unresolved_indirects().first() {
-        return Err(PathError::UnresolvedIndirect { addr });
-    }
-
     let formula = prepare(cfg, icfg, va, lb, pa, options)?;
-    let summarized =
-        if options.summaries { summary::solve_summarized(icfg, &formula, memo)? } else { None };
-    let (objective, edge_values) = match summarized {
+    let (objective, edge_values) = match summary::solve_summarized(icfg, &formula, memo)? {
         Some(composed) => composed,
-        None => {
-            let sol = formula.lp.maximize_integer()?;
-            let values = formula.evar.iter().map(|v| sol.values[v.0]).collect();
-            (sol.objective, values)
-        }
+        None => solve_monolithic(&formula)?,
     };
+    Ok(finish(icfg, pa, &formula, objective, &edge_values))
+}
 
+/// The reference path analysis: the whole IPET ILP solved at once,
+/// exactly as the paper states it. Kept as the executable specification
+/// of [`analyze`], whose decomposed solve must reproduce its WCET and
+/// ILP size; never called on the production path, which solves the
+/// whole ILP only when decomposition steps aside.
+///
+/// # Errors
+///
+/// As [`analyze`].
+pub fn analyze_reference(
+    cfg: &Cfg,
+    icfg: &Icfg,
+    va: &ValueAnalysis,
+    lb: &LoopBoundAnalysis,
+    pa: &PipelineAnalysis,
+    options: &PathOptions,
+) -> Result<WcetResult, PathError> {
+    let formula = prepare(cfg, icfg, va, lb, pa, options)?;
+    let (objective, edge_values) = solve_monolithic(&formula)?;
+    Ok(finish(icfg, pa, &formula, objective, &edge_values))
+}
+
+/// Solves the whole ILP; returns the objective and the value of every
+/// edge variable, dense by edge index.
+fn solve_monolithic(formula: &Formula) -> Result<(i64, Vec<i64>), PathError> {
+    let sol = formula.lp.maximize_integer()?;
+    Ok((sol.objective, formula.evar.iter().map(|v| sol.values[v.0]).collect()))
+}
+
+/// Turns an optimal edge assignment into the WCET bound and its
+/// witness counts.
+fn finish(
+    icfg: &Icfg,
+    pa: &PipelineAnalysis,
+    formula: &Formula,
+    objective: i64,
+    edge_values: &[i64],
+) -> WcetResult {
     let mut edge_counts = HashMap::new();
     for (e, &v) in icfg.edges().iter().zip(edge_values.iter()) {
         let c = v.max(0) as u64;
@@ -275,7 +303,7 @@ pub fn analyze_with_memo(
         }
     }
 
-    Ok(WcetResult {
+    WcetResult {
         // Persistent lines may each miss once over the whole task; the
         // pipeline analysis priced those accesses as hits and exposes
         // the one-time budget here.
@@ -283,7 +311,7 @@ pub fn analyze_with_memo(
         edge_counts,
         node_counts,
         ilp_size: formula.size,
-    })
+    }
 }
 
 /// Builds the IPET ILP and the summarization structure.
@@ -295,6 +323,9 @@ fn prepare(
     pa: &PipelineAnalysis,
     options: &PathOptions,
 ) -> Result<Formula, PathError> {
+    if let Some(&addr) = cfg.unresolved_indirects().first() {
+        return Err(PathError::UnresolvedIndirect { addr });
+    }
     let mut lp = LpProblem::new();
 
     // One variable per supergraph edge, plus a virtual source and one
@@ -627,8 +658,8 @@ mod tests {
         assert!(matches!(err, PathError::MissingLoopBound { .. }));
     }
 
-    /// All phases for `src` under `hw`, for tests that need to call
-    /// [`analyze`] with non-default options.
+    /// All phases for `src` under `hw`, for tests that call the path
+    /// entry points directly.
     fn phases_of(
         src: &str,
         hw: &HwConfig,
@@ -646,7 +677,7 @@ mod tests {
     #[test]
     fn summarized_equals_monolithic_on_all_shapes() {
         // Every shape exercised above, both hardware models: the
-        // summarized solve must reproduce the monolithic optimum (and
+        // summarized solve must reproduce the reference optimum (and
         // report the same ILP size) or fall back to it.
         let programs = [
             ".text\nmain: li r1, 3\nmul r2, r1, r1\nhalt\n",
@@ -657,50 +688,20 @@ mod tests {
             ".text\nmain: call f\ncall f\nhalt\nf: div r1, r2, r3\nret\n",
             ".text\nmain: call f\nli r4, 7\ncall g\nhalt\nf: div r1, r2, r3\nret\ng: call f\nret\n",
         ];
+        let opts = PathOptions::default();
         for src in programs {
             for hw in [HwConfig::ideal(), HwConfig::default()] {
                 let (_, cfg, icfg, va, lb, pa) = phases_of(src, &hw);
-                let on = analyze(&cfg, &icfg, &va, &lb, &pa, &PathOptions::default()).unwrap();
-                let off = analyze(
-                    &cfg,
-                    &icfg,
-                    &va,
-                    &lb,
-                    &pa,
-                    &PathOptions { summaries: false, ..PathOptions::default() },
-                )
-                .unwrap();
-                assert_eq!(on.wcet, off.wcet, "src {src:?} hw {hw:?}");
-                assert_eq!(on.ilp_size, off.ilp_size, "src {src:?} hw {hw:?}");
+                let summarized = analyze(&cfg, &icfg, &va, &lb, &pa, &opts).unwrap();
+                let reference = analyze_reference(&cfg, &icfg, &va, &lb, &pa, &opts).unwrap();
+                assert_eq!(summarized.wcet, reference.wcet, "src {src:?} hw {hw:?}");
+                assert_eq!(summarized.ilp_size, reference.ilp_size, "src {src:?} hw {hw:?}");
             }
         }
     }
 
     #[test]
     fn repeated_calls_reuse_segment_summaries() {
-        use std::cell::Cell;
-
-        /// A [`LocalMemo`] that counts lookups and actual solves.
-        #[derive(Default)]
-        struct CountingMemo {
-            inner: LocalMemo,
-            lookups: Cell<usize>,
-            solves: Cell<usize>,
-        }
-        impl SummaryMemo for CountingMemo {
-            fn summarize(
-                &self,
-                canonical: &[u8],
-                solve: &mut dyn FnMut() -> Result<SegmentSummary, PathError>,
-            ) -> Result<std::sync::Arc<SegmentSummary>, PathError> {
-                self.lookups.set(self.lookups.get() + 1);
-                self.inner.summarize(canonical, &mut || {
-                    self.solves.set(self.solves.get() + 1);
-                    solve()
-                })
-            }
-        }
-
         // Three identical call sites expand to isomorphic supergraph
         // segments; under uniform (ideal) timing their canonical forms
         // coincide, so the memo must solve strictly fewer segments than
@@ -716,19 +717,19 @@ mod tests {
         ";
         let hw = HwConfig::ideal();
         let (p, cfg, icfg, va, lb, pa) = phases_of(src, &hw);
-        let memo = CountingMemo::default();
+        let memo = LocalMemo::default();
         let opts = PathOptions::default();
         let res = analyze_with_memo(&cfg, &icfg, &va, &lb, &pa, &opts, &memo).unwrap();
         let mut sim = Simulator::new(&p, &hw);
         let c = sim.run(1000).unwrap().cycles;
         assert_eq!(res.wcet, c);
-        assert!(memo.lookups.get() > 0, "no decomposition happened");
-        assert!(
-            memo.solves.get() < memo.lookups.get(),
-            "no reuse: {} solves for {} segments",
-            memo.solves.get(),
-            memo.lookups.get()
-        );
+        assert!(memo.computed() > 0, "no decomposition happened");
+        assert!(memo.reused() > 0, "no reuse: {} solves, nothing recalled", memo.computed());
+        // A second analysis through the same memo solves nothing.
+        let solved = memo.computed();
+        let again = analyze_with_memo(&cfg, &icfg, &va, &lb, &pa, &opts, &memo).unwrap();
+        assert_eq!(again.edge_counts, res.edge_counts);
+        assert_eq!(memo.computed(), solved, "a warm memo must not re-solve");
     }
 
     #[test]

@@ -1,18 +1,18 @@
 //! Modular path analysis: series-parallel decomposition of the IPET ILP
 //! with memoized segment summaries.
 //!
-//! The monolithic ILP of [`crate::analyze`] grows super-linearly in the
-//! supergraph, and the exact branch-and-bound solver pays for it: on the
-//! generated scaling series the path phase dominates total analysis time
-//! by two orders of magnitude at the largest sizes. This module restores
-//! the modularity the paper attributes to per-procedure analysis: it cuts
-//! the supergraph at *series points* — nodes that every execution passes
-//! exactly once — solves each segment's ILP independently, and composes
-//! the segment optima by addition. Because identical procedure bodies
-//! expand to isomorphic segments, each segment is reduced to a canonical
-//! byte string and solved **once**; repeats (further call sites, other
-//! jobs, warm stores) recall the [`SegmentSummary`] through a
-//! [`SummaryMemo`] instead of re-solving.
+//! The monolithic ILP of [`crate::analyze_reference`] grows
+//! super-linearly in the supergraph, and the exact branch-and-bound
+//! solver pays for it: on the generated scaling series it would dominate
+//! total analysis time by two orders of magnitude at the largest sizes.
+//! This module restores the modularity the paper attributes to
+//! per-procedure analysis: it cuts the supergraph at *series points* —
+//! nodes that every execution passes exactly once — solves each
+//! segment's ILP independently, and composes the segment optima by
+//! addition. Because identical procedure bodies expand to isomorphic
+//! segments, each segment is reduced to a canonical byte string and
+//! solved **once**; further call sites recall the solved segment from
+//! the analysis-local [`LocalMemo`] instead of re-solving.
 //!
 //! # Cut points
 //!
@@ -50,7 +50,7 @@
 //! the monolithic ILP instead — the summarized path can only ever
 //! reproduce the exact monolithic optimum or step aside.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
@@ -59,88 +59,49 @@ use stamp_ilp::{CmpOp, LpProblem};
 
 use crate::{Formula, InstanceRule, PathError};
 
-/// The solved optimum of one canonical segment ILP.
-///
-/// `values` holds the witness assignment in canonical variable order
-/// (source, then edges in traversal order, then sinks); `objective` is
-/// the segment's contribution to the WCET objective. Stored in the
-/// artifact store keyed by the canonical segment bytes, so the summary
-/// is shared across call sites, jobs, and processes.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SegmentSummary {
-    /// Optimal objective value of the segment ILP.
-    pub objective: i64,
-    /// Optimal variable assignment, indexed by canonical variable.
-    pub values: Vec<i64>,
+/// The solved optimum of one canonical segment ILP: the segment's
+/// contribution to the WCET objective and the witness assignment in
+/// canonical variable order (source, then edges in traversal order,
+/// then sinks).
+struct SegmentSummary {
+    objective: i64,
+    values: Vec<i64>,
 }
 
-impl stamp_codec::Codec for SegmentSummary {
-    fn enc(&self, e: &mut stamp_codec::Enc) {
-        e.u64(self.objective as u64);
-        e.len_prefix(self.values.len());
-        for &v in &self.values {
-            e.u64(v as u64);
-        }
-    }
-    fn dec(d: &mut stamp_codec::Dec) -> Result<SegmentSummary, stamp_codec::CodecError> {
-        let objective = d.u64()? as i64;
-        let n = d.len_prefix(8)?;
-        let mut values = Vec::with_capacity(n);
-        for _ in 0..n {
-            values.push(d.u64()? as i64);
-        }
-        Ok(SegmentSummary { objective, values })
-    }
-}
-
-/// Where segment summaries are looked up and recorded.
-///
-/// `canonical` is the canonical byte form of the segment ILP (stable
-/// across isomorphic segments); `solve` produces the summary when the
-/// memo has no entry. Implementations decide the sharing scope: none
-/// ([`NoMemo`]), per-analysis ([`LocalMemo`]), or cross-job/process
-/// (the artifact-store broker in `stamp-core`).
-pub trait SummaryMemo {
-    /// Returns the summary for `canonical`, solving via `solve` on a
-    /// miss. Solve errors must not be cached.
-    fn summarize(
-        &self,
-        canonical: &[u8],
-        solve: &mut dyn FnMut() -> Result<SegmentSummary, PathError>,
-    ) -> Result<Arc<SegmentSummary>, PathError>;
-}
-
-/// A memo that never remembers: every segment is solved fresh.
-pub struct NoMemo;
-
-impl SummaryMemo for NoMemo {
-    fn summarize(
-        &self,
-        _canonical: &[u8],
-        solve: &mut dyn FnMut() -> Result<SegmentSummary, PathError>,
-    ) -> Result<Arc<SegmentSummary>, PathError> {
-        solve().map(Arc::new)
-    }
-}
-
-/// An in-memory memo scoped to one analysis: repeated procedure bodies
-/// within a single program are solved once.
+/// The segment-summary memo of one path analysis: isomorphic segments
+/// (repeated procedure bodies, further call sites) are solved once and
+/// recalled by their canonical byte form. It also counts its own solves
+/// and recalls, which the analyzer reports as the procedure-summary
+/// statistics.
 #[derive(Default)]
 pub struct LocalMemo {
     cache: RefCell<HashMap<Vec<u8>, Arc<SegmentSummary>>>,
+    computed: Cell<u64>,
+    reused: Cell<u64>,
 }
 
-impl SummaryMemo for LocalMemo {
-    fn summarize(
-        &self,
-        canonical: &[u8],
-        solve: &mut dyn FnMut() -> Result<SegmentSummary, PathError>,
-    ) -> Result<Arc<SegmentSummary>, PathError> {
-        if let Some(hit) = self.cache.borrow().get(canonical) {
+impl LocalMemo {
+    /// Segments this memo solved.
+    pub fn computed(&self) -> u64 {
+        self.computed.get()
+    }
+
+    /// Segments this memo recalled instead of solving.
+    pub fn reused(&self) -> u64 {
+        self.reused.get()
+    }
+
+    /// Returns the summary of `seglp`, solving it on a miss. Solve
+    /// errors are not cached.
+    fn summarize(&self, seglp: &SegLp) -> Result<Arc<SegmentSummary>, PathError> {
+        let canonical = seglp.canonical_bytes();
+        if let Some(hit) = self.cache.borrow().get(&canonical) {
+            self.reused.set(self.reused.get() + 1);
             return Ok(hit.clone());
         }
-        let summary = Arc::new(solve()?);
-        self.cache.borrow_mut().insert(canonical.to_vec(), summary.clone());
+        let summary = Arc::new(seglp.solve()?);
+        self.computed.set(self.computed.get() + 1);
+        self.cache.borrow_mut().insert(canonical, summary.clone());
         Ok(summary)
     }
 }
@@ -206,40 +167,6 @@ impl SegLp {
         let sol = lp.maximize_integer()?;
         Ok(SegmentSummary { objective: sol.objective, values: sol.values })
     }
-}
-
-/// Reverse postorder over the supergraph, or `None` when some node is
-/// unreachable from the entry (decomposition then steps aside).
-fn reverse_postorder(icfg: &Icfg) -> Option<Vec<u32>> {
-    let n = icfg.nodes().len();
-    let mut state = vec![0u8; n]; // 0 unvisited, 1 on stack, 2 done
-    let mut post: Vec<u32> = Vec::with_capacity(n);
-    // Iterative DFS; the stack holds (node, next-successor cursor).
-    let mut stack: Vec<(u32, usize)> = vec![(icfg.entry().index() as u32, 0)];
-    state[icfg.entry().index()] = 1;
-    while let Some(top) = stack.last_mut() {
-        let (u, cursor) = (top.0, top.1);
-        top.1 += 1;
-        match icfg.succs(NodeId(u)).nth(cursor) {
-            Some(e) => {
-                let v = e.to.index();
-                if state[v] == 0 {
-                    state[v] = 1;
-                    stack.push((v as u32, 0));
-                }
-            }
-            None => {
-                state[u as usize] = 2;
-                post.push(u);
-                stack.pop();
-            }
-        }
-    }
-    if post.len() != n {
-        return None;
-    }
-    post.reverse();
-    Some(post)
 }
 
 /// Cooper–Harvey–Kennedy iterative dominators over a reverse postorder.
@@ -377,19 +304,22 @@ fn in_loop_context(icfg: &Icfg, node: u32) -> bool {
 pub(crate) fn solve_summarized(
     icfg: &Icfg,
     formula: &Formula,
-    memo: &dyn SummaryMemo,
+    memo: &LocalMemo,
 ) -> Result<Option<(i64, Vec<i64>)>, PathError> {
     let n = icfg.nodes().len();
     let exits = icfg.exits();
     if exits.is_empty() || n == 0 {
         return Ok(None);
     }
-    let Some(rpo) = reverse_postorder(icfg) else {
-        return Ok(None);
-    };
-    let mut rpo_num = vec![0u32; n];
-    for (i, &u) in rpo.iter().enumerate() {
-        rpo_num[u as usize] = i as u32;
+    // The reverse postorder `Icfg::build` stored; a node unreachable
+    // from the entry (index `u32::MAX`) makes decomposition step aside.
+    let rpo_num: Vec<u32> = icfg.nodes().iter().map(|nd| icfg.rpo_index(nd.id)).collect();
+    let mut rpo = vec![0u32; n];
+    for (u, &r) in rpo_num.iter().enumerate() {
+        let Some(slot) = rpo.get_mut(r as usize) else {
+            return Ok(None);
+        };
+        *slot = u as u32;
     }
     let idom = dominators(icfg, &rpo, &rpo_num);
     let cyclic = on_cycle(icfg);
@@ -475,15 +405,7 @@ pub(crate) fn solve_summarized(
         else {
             return Ok(None);
         };
-        let canonical = seglp.canonical_bytes();
-        let summary = memo.summarize(&canonical, &mut || seglp.solve())?;
-        // A recalled summary of the wrong shape (corrupt or stale store
-        // entry) is discarded; the segment is solved inline instead.
-        let summary = if summary.values.len() == seglp.obj.len() {
-            summary
-        } else {
-            Arc::new(seglp.solve()?)
-        };
+        let summary = memo.summarize(&seglp)?;
         total_objective += summary.objective;
         for (j, &eid) in seglp.edges.iter().enumerate() {
             edge_values[eid.index()] = summary.values[1 + j];

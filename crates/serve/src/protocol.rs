@@ -17,8 +17,8 @@
 //! `benchmark` / `file` / `source`+`name`, plus `loop_bounds`,
 //! `recursion`, `wcet`), and `variant` (a manifest *variant* object:
 //! `hw`, `peel`, `max_call_depth`, `max_contexts`, `domain`,
-//! `widen_delay`, `small_set`, `use_infeasible`, `summaries`,
-//! `sampling`; `name` defaults to `"default"`). The job vocabulary *is* the `stamp batch`
+//! `widen_delay`, `small_set`, `use_infeasible`, `sampling`; `name`
+//! defaults to `"default"`). The job vocabulary *is* the `stamp batch`
 //! manifest vocabulary — requests are parsed through the same
 //! `stamp_suite::manifest` code path, so unknown keys are rejected
 //! identically and a served job can never drift from its batch twin.
@@ -285,6 +285,11 @@ mod tests {
                 r#"{"id": "u", "job": {"benchmark": "crc"}, "variant": {"name": "x", "uarch_summaries": false}}"#,
                 Some("u"),
                 "unknown variant key `uarch_summaries`",
+            ),
+            (
+                r#"{"id": "s", "job": {"benchmark": "crc"}, "variant": {"name": "x", "summaries": false}}"#,
+                Some("s"),
+                "unknown variant key `summaries`",
             ),
         ];
         for (line, id, needle) in cases {

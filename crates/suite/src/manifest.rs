@@ -29,10 +29,8 @@
 //! `"no-cache"`, `"ideal"` or `{"cache_bytes": N}`), `peel`,
 //! `max_call_depth`, `max_contexts` (VIVU), `domain` (`"const"`,
 //! `"interval"`, `"strided"`), `widen_delay`, `small_set` (value
-//! analysis), `use_infeasible` (bool, ILP), `summaries` (bool, solve
-//! the path ILP via memoized per-segment summaries; default true),
-//! `sampling` (probabilistic path sampling: `{}` for the defaults or
-//! `{"samples": N, "seed": N}`).
+//! analysis), `use_infeasible` (bool, ILP), `sampling` (probabilistic
+//! path sampling: `{}` for the defaults or `{"samples": N, "seed": N}`).
 //!
 //! Unknown keys are rejected everywhere: a misspelled knob must fail
 //! the parse, not silently run the default configuration.
@@ -246,7 +244,6 @@ fn parse_variant(v: &Json) -> Result<BatchVariant, ManifestError> {
             "widen_delay",
             "small_set",
             "use_infeasible",
-            "summaries",
             "sampling",
         ],
     )?;
@@ -316,10 +313,6 @@ fn parse_variant(v: &Json) -> Result<BatchVariant, ManifestError> {
     if let Some(u) = v.get("use_infeasible") {
         config.use_infeasible =
             u.as_bool().ok_or(ManifestError("`use_infeasible` must be a boolean".into()))?;
-    }
-    if let Some(u) = v.get("summaries") {
-        config.summaries =
-            u.as_bool().ok_or(ManifestError("`summaries` must be a boolean".into()))?;
     }
     let mut sampling = None;
     if let Some(s) = v.get("sampling") {
@@ -420,6 +413,11 @@ mod tests {
                 r#"{"targets": [{"benchmark": "crc"}],
                     "variants": [{"name": "x", "uarch_summaries": false}]}"#,
                 "unknown variant key `uarch_summaries`",
+            ),
+            (
+                r#"{"targets": [{"benchmark": "crc"}],
+                    "variants": [{"name": "x", "summaries": false}]}"#,
+                "unknown variant key `summaries`",
             ),
             (
                 r#"{"targets": [{"benchmark": "crc"}, {"benchmark": "crc"}]}"#,

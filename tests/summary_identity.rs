@@ -1,72 +1,95 @@
 //! The procedure-summary solver's contract: segment decomposition is
-//! *exact* — batch results are byte-identical between the summarized
-//! and the monolithic path solver at every worker count — while the
-//! timing layer records real summary reuse, including across processes
-//! through the durable store.
+//! *exact*. The production path solve proves the same WCET over the
+//! same ILP as the monolithic reference solve
+//! (`stamp_path::analyze_reference`) on the same phase artifacts, and
+//! batch results are byte-identical at every worker count, while the
+//! timing layer records real summary reuse.
 
-use std::path::Path;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use stamp::analyzer::{run_batch, AnalysisConfig, Annotations, ArtifactStore};
+use stamp::path::{analyze_reference, PathOptions};
+use stamp::suite::{corpus_matrix, generate, GenConfig};
+use stamp::{assemble, BatchVariant, HwConfig, Program, WcetAnalysis};
 
-use stamp::analyzer::{run_batch, ArtifactStore, PhaseId};
-use stamp::suite::{corpus_matrix, parse_manifest};
-use stamp::{assemble, BatchVariant, WcetAnalysis};
+/// A path verdict: the WCET bound and the ILP size `(vars, constraints)`.
+type PathVerdict = (u64, (usize, usize));
 
-/// The tentpole identity: the whole corpus, analyzed with the
-/// per-segment summary solver, must render byte-for-byte the same
-/// deterministic results as the monolithic whole-iCFG ILP — at one,
-/// two and eight workers.
+/// The production path verdict for `program` next to the reference
+/// solve over the very artifacts the production run produced.
+fn production_and_reference(
+    program: &Program,
+    config: &AnalysisConfig,
+    annotations: &Annotations,
+) -> (PathVerdict, PathVerdict) {
+    let (_, a) = WcetAnalysis::new(program)
+        .config(config.clone())
+        .annotations(annotations.clone())
+        .run_full(&ArtifactStore::disabled())
+        .expect("analysis");
+    let options = PathOptions { use_infeasible: config.use_infeasible, ..PathOptions::default() };
+    let reference =
+        analyze_reference(&a.cfg, &a.icfg, &a.va, &a.lb, &a.pa, &options).expect("reference");
+    ((a.path.wcet, a.path.ilp_size), (reference.wcet, reference.ilp_size))
+}
+
+/// The tentpole identity: every corpus program under the default,
+/// no-cache and ideal hardware, plus the E6 scaling series up to 128
+/// constructs, gets the reference solver's WCET and ILP size.
 #[test]
-fn summarized_corpus_results_match_monolithic_at_every_worker_count() {
-    let request = corpus_matrix(&[BatchVariant::default()]);
-    let mut monolithic_request = corpus_matrix(&[BatchVariant::default()]);
-    for job in &mut monolithic_request.jobs {
-        job.config.summaries = false;
+fn summarized_path_equals_the_reference_on_corpus_and_e6() {
+    let variant = |name: &str, hw: HwConfig| BatchVariant {
+        name: name.to_string(),
+        config: AnalysisConfig { hw, ..AnalysisConfig::default() },
+        sampling: None,
+    };
+    let request = corpus_matrix(&[
+        variant("default", HwConfig::default()),
+        variant("no-cache", HwConfig::no_cache()),
+        variant("ideal", HwConfig::ideal()),
+    ]);
+    let mut checked = 0;
+    for job in request.jobs.iter().filter(|j| j.wcet) {
+        let program = assemble(&job.source).expect("corpus assembles");
+        let (production, reference) =
+            production_and_reference(&program, &job.config, &job.annotations);
+        assert_eq!(production, reference, "{}", job.name());
+        checked += 1;
     }
-    let monolithic = run_batch(&monolithic_request, 1).unwrap();
-    assert_eq!(monolithic.errors(), 0);
-    for workers in [1usize, 2, 8] {
-        let summarized = run_batch(&request, workers).unwrap();
-        assert_eq!(
-            summarized.results_json().to_string(),
-            monolithic.results_json().to_string(),
-            "summarized vs monolithic results differ at {workers} workers"
-        );
+    assert!(checked >= 3 * 10, "only {checked} corpus jobs checked");
+
+    // The E6 series, generated exactly as kernel_bench does.
+    let mut rng = StdRng::seed_from_u64(0xE6);
+    for constructs in [2, 4, 8, 16, 32, 64, 128] {
+        let cfg = GenConfig { constructs, functions: 2, ..GenConfig::default() };
+        let program = assemble(&generate(&mut rng, &cfg)).expect("generated");
+        let (production, reference) =
+            production_and_reference(&program, &AnalysisConfig::default(), &Annotations::new());
+        assert_eq!(production, reference, "E6 at {constructs} constructs");
     }
 }
 
-/// The `summaries` manifest key switches the solver per variant, the
-/// bounds agree, and only the summarized variant reports summary
-/// provenance.
+/// Batch results are byte-identical at one, two and eight workers, and
+/// every WCET in them is the reference solver's.
 #[test]
-fn manifest_summaries_key_switches_the_solver() {
-    let manifest = r#"{
-      "targets": [
-        {"benchmark": "fibcall"},
-        {"benchmark": "crc"}
-      ],
-      "variants": [
-        {"name": "default"},
-        {"name": "inlined", "summaries": false}
-      ]
-    }"#;
-    let request = parse_manifest(manifest, Path::new(".")).unwrap();
-    for job in &request.jobs {
-        assert_eq!(job.config.summaries, job.variant == "default", "{}", job.name());
+fn summarized_corpus_results_match_monolithic_at_every_worker_count() {
+    let request = corpus_matrix(&[BatchVariant::default()]);
+    let serial = run_batch(&request, 1).unwrap();
+    assert_eq!(serial.errors(), 0);
+    for (job, result) in request.jobs.iter().zip(&serial.results) {
+        if job.wcet {
+            let program = assemble(&job.source).unwrap();
+            let (_, (reference_wcet, _)) =
+                production_and_reference(&program, &job.config, &job.annotations);
+            assert_eq!(result.wcet, Some(reference_wcet), "{}", job.name());
+        }
     }
-    let report = run_batch(&request, 2).unwrap();
-    assert_eq!(report.errors(), 0);
-    for target in ["fibcall", "crc"] {
-        let of = |variant: &str| {
-            report
-                .results
-                .iter()
-                .find(|r| r.target == target && r.variant == variant)
-                .unwrap_or_else(|| panic!("{target}@{variant}"))
-        };
-        let (summarized, inlined) = (of("default"), of("inlined"));
-        assert_eq!(summarized.wcet, inlined.wcet, "{target}: bounds must agree");
-        assert!(
-            inlined.provenance.iter().all(|(p, _)| *p != PhaseId::Summary),
-            "{target}: the monolithic solve must not report summary provenance"
+    for workers in [2usize, 8] {
+        let parallel = run_batch(&request, workers).unwrap();
+        assert_eq!(
+            parallel.results_json().to_string(),
+            serial.results_json().to_string(),
+            "results differ at {workers} workers"
         );
     }
 }
@@ -84,36 +107,6 @@ const CALLS: &str = "\
           ret
 ";
 
-/// Summaries persist through the durable store and are recalled by a
-/// later *process* (a fresh in-memory store over the primed log) even
-/// when the path artifact itself cannot be reused — here the second
-/// run flips `use_infeasible`, which re-keys the path phase but leaves
-/// every segment's canonical form (and so its summary) unchanged.
-#[test]
-fn warm_store_serves_summaries_across_processes() {
-    let dir = std::env::temp_dir().join(format!("stamp-summary-disk-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let program = assemble(CALLS).unwrap();
-
-    let (store, warnings) = ArtifactStore::with_disk(&dir).unwrap();
-    assert!(warnings.is_empty(), "{warnings:?}");
-    let first = WcetAnalysis::new(&program).run_with(&store).unwrap();
-    assert!(first.summaries_computed > 0, "no decomposition happened");
-    assert!(first.summaries_reused > 0, "isomorphic call segments must be served from the memo");
-
-    let (store2, warnings) = ArtifactStore::with_disk(&dir).unwrap();
-    assert!(warnings.is_empty(), "{warnings:?}");
-    let second = WcetAnalysis::new(&program).use_infeasible(false).run_with(&store2).unwrap();
-    assert_eq!(second.wcet, first.wcet, "a branch-free task has no infeasible edges");
-    assert_eq!(second.summaries_computed, 0, "every summary must come from the store");
-    assert!(second.summaries_reused > 0);
-    let summary = store2.stats().phase("summary").unwrap();
-    assert!(summary.hits_disk > 0, "summaries must be answered from disk: {summary:?}");
-    assert_eq!(summary.misses, 0, "{summary:?}");
-
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
 /// The render layer reports the summary counts; the deterministic JSON
 /// stays witness-free.
 #[test]
@@ -121,6 +114,7 @@ fn summary_counts_live_in_the_timing_layer_only() {
     let program = assemble(CALLS).unwrap();
     let report = WcetAnalysis::new(&program).run().unwrap();
     assert!(report.summaries_computed > 0);
+    assert!(report.summaries_reused > 0, "isomorphic call segments must be recalled");
     let rendered = report.render(&program);
     assert!(rendered.contains("procedure summaries"), "{rendered}");
     let json = report.to_json().to_string();
