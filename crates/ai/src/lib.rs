@@ -12,6 +12,9 @@
 //!   from later ones (warm cache), the key to tight WCET bounds;
 //! * [`Icfg`] — the context-expanded interprocedural CFG on which every
 //!   analysis and the path analysis run;
+//! * [`LoopInstances`] — the supergraph's loop instances (header plus
+//!   surrounding context) with their entry and back edges, shared by
+//!   the loop-bound analysis, the path ILP and the path sampler;
 //! * [`solve`] — a generic worklist fixpoint solver with widening at
 //!   loop heads.
 //!
@@ -36,9 +39,11 @@
 mod context;
 mod domain;
 mod icfg;
+mod loops;
 mod solver;
 
 pub use context::{Ctx, CtxId, CtxTable, Frame, VivuConfig};
 pub use domain::Domain;
 pub use icfg::{IEdge, IEdgeId, IEdgeKind, Icfg, IcfgError, Node, NodeId};
+pub use loops::{LoopInstance, LoopInstances, LoopKey};
 pub use solver::{solve, solve_reference, Fixpoint, Transfer};

@@ -3,6 +3,8 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::collections::BTreeSet;
+
 use stamp_ai::{Frame, IEdgeKind, Icfg, VivuConfig};
 use stamp_cfg::CfgBuilder;
 use stamp_isa::asm::assemble;
@@ -71,6 +73,88 @@ proptest! {
                     prop_assert!(calls_only);
                 }
             }
+        }
+    }
+}
+
+/// The loop-instance table against a direct reading of the loop forest:
+/// every header node belongs to the instance its stripped context keys,
+/// an instance's entries ∪ backs are exactly the in-edges of its header
+/// nodes, and its backs are exactly those with `back_edge_of == header`.
+fn check_loop_instances(cfg: &stamp_cfg::Cfg, icfg: &Icfg) {
+    let table = icfg.loop_instances();
+    let all = table.all();
+    // Sorted by key, keys unique, and the same table on every build.
+    assert!(all.windows(2).all(|w| w[0].key < w[1].key), "instances not sorted by key");
+    assert_eq!(icfg.loop_instances(), table, "table is not deterministic");
+
+    let mut headers = BTreeSet::new();
+    for f in cfg.functions() {
+        for l in cfg.loop_forest(f.id).expect("reducible").loops() {
+            headers.insert(l.header);
+        }
+    }
+    // Every header node sits in the instance its stripped context keys.
+    let mut listed = 0;
+    for &header in &headers {
+        let insts = table.of_header(header);
+        assert!(insts.iter().all(|i| i.key.0 == header));
+        for &n in icfg.nodes_of_block(header) {
+            let mut outer = icfg.ctxs().get(icfg.node(n).ctx).frames().to_vec();
+            if matches!(outer.last(), Some(Frame::Loop { header: h, .. }) if *h == header) {
+                outer.pop();
+            }
+            let inst = insts.iter().find(|i| i.nodes.contains(&n)).expect("header node listed");
+            assert_eq!(inst.key, (header, outer), "key breaks the strip rule");
+            listed += 1;
+        }
+    }
+    // ... and nothing else is listed.
+    assert_eq!(all.iter().map(|i| i.nodes.len()).sum::<usize>(), listed);
+
+    for (idx, inst) in all.iter().enumerate() {
+        let header = inst.key.0;
+        let ins: BTreeSet<_> =
+            inst.nodes.iter().flat_map(|&n| icfg.preds(n).map(|e| e.id)).collect();
+        let backs: BTreeSet<_> = icfg
+            .edges()
+            .iter()
+            .filter(|e| {
+                matches!(e.kind, IEdgeKind::Intra { back_edge_of: Some(h), .. } if h == header)
+                    && inst.nodes.contains(&e.to)
+            })
+            .map(|e| e.id)
+            .collect();
+        assert!(inst.entries.windows(2).all(|w| w[0] < w[1]), "entries not ascending");
+        assert!(inst.backs.windows(2).all(|w| w[0] < w[1]), "backs not ascending");
+        assert_eq!(inst.backs.iter().copied().collect::<BTreeSet<_>>(), backs);
+        let both: BTreeSet<_> = inst.entries.iter().chain(&inst.backs).copied().collect();
+        assert_eq!(both.len(), inst.entries.len() + inst.backs.len(), "entry is also a back");
+        assert_eq!(both, ins, "entries ∪ backs != in-edges of the header nodes");
+        for &e in &both {
+            assert_eq!(table.of_edge(e), Some((idx, backs.contains(&e))));
+        }
+    }
+    // Edges into non-header nodes map to no instance.
+    let in_table: usize = all.iter().map(|i| i.entries.len() + i.backs.len()).sum();
+    assert_eq!(icfg.edges().iter().filter(|e| table.of_edge(e.id).is_some()).count(), in_table);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn loop_instance_table_matches_the_loop_forest(seed in 0u64..500, rich in any::<bool>()) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let gen = if rich { GenConfig::rich() } else { GenConfig::default() };
+        let src = generate(&mut rng, &gen);
+        for peel in [0u8, 1, 2] {
+            let (cfg, icfg) = build(&src, &VivuConfig { peel, ..VivuConfig::default() });
+            check_loop_instances(&cfg, &icfg);
+            // A decoded supergraph yields the same table.
+            let back: Icfg =
+                stamp_codec::decode_value(&stamp_codec::encode_value(&icfg)).expect("decodes");
+            prop_assert_eq!(back.loop_instances(), icfg.loop_instances());
         }
     }
 }

@@ -237,6 +237,7 @@ struct ScalingRow {
     insns: usize,
     nodes: usize,
     evaluations: u64,
+    wcet: u64,
     best_ms: f64,
 }
 
@@ -261,6 +262,7 @@ fn scaling_rows(reps: usize) -> Vec<ScalingRow> {
             insns: report.insns,
             nodes: report.nodes,
             evaluations: report.evaluations,
+            wcet: report.wcet,
             best_ms: best,
         });
     }
@@ -1087,9 +1089,9 @@ fn main() {
             );
         }
         println!("];");
-        println!("pub const SCALING_EVALS: &[(usize, u64)] = &[");
+        println!("pub const SCALING_EVALS: &[(usize, u64, u64)] = &[");
         for r in &scaling {
-            println!("    ({}, {}),", r.constructs, r.evaluations);
+            println!("    ({}, {}, {}),", r.constructs, r.evaluations, r.wcet);
         }
         println!("];");
     }
@@ -1118,13 +1120,22 @@ fn main() {
             .collect();
         drift.extend(pins::check_corpus(&measured));
         for r in &scaling {
-            match pins::SCALING_EVALS.iter().find(|(c, _)| *c == r.constructs) {
-                Some((_, e)) if *e != r.evaluations => drift.push(format!(
-                    "scaling/{}: pinned {} evaluations != measured {}",
-                    r.constructs, e, r.evaluations
-                )),
+            match pins::SCALING_EVALS.iter().find(|(c, _, _)| *c == r.constructs) {
+                Some(&(_, evaluations, wcet)) => {
+                    if evaluations != r.evaluations {
+                        drift.push(format!(
+                            "scaling/{}: pinned {} evaluations != measured {}",
+                            r.constructs, evaluations, r.evaluations
+                        ));
+                    }
+                    if wcet != r.wcet {
+                        drift.push(format!(
+                            "scaling/{}: pinned WCET {} != measured {}",
+                            r.constructs, wcet, r.wcet
+                        ));
+                    }
+                }
                 None => drift.push(format!("scaling/{}: no pin recorded", r.constructs)),
-                _ => {}
             }
         }
         // The procedure-summary gates: the segment decomposition must be

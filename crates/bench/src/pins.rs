@@ -55,18 +55,19 @@ pub const CORPUS: &[CorpusPin] = &[
     CorpusPin { name: "fac", wcet: None, stack: 88, evaluations: 0, fetch: [0, 0, 0, 0], data: [0, 0, 0, 0] },
 ];
 
-/// Pinned solver evaluations of the E6 scaling series
-/// `(constructs, evaluations)`.
-pub const SCALING_EVALS: &[(usize, u64)] = &[
-    (2, 84),
-    (4, 42),
-    (8, 133),
-    (16, 124),
-    (32, 538),
-    (64, 824),
-    (128, 2042),
-    (256, 4423),
-    (640, 10418),
+/// Pinned solver evaluations and WCET bounds of the E6 scaling series
+/// `(constructs, evaluations, wcet)`. The WCET column guards the loop
+/// instance keying and the path ILP at sizes the corpus does not reach.
+pub const SCALING_EVALS: &[(usize, u64, u64)] = &[
+    (2, 84, 2357),
+    (4, 42, 497),
+    (8, 133, 980),
+    (16, 124, 1243),
+    (32, 538, 6539),
+    (64, 824, 7825),
+    (128, 2042, 22921),
+    (256, 4423, 40153),
+    (640, 10418, 94870),
 ];
 
 /// One task's measured invariants, in pin-comparable form. `stack` is

@@ -80,11 +80,15 @@ fn scaling_series_evaluations_match_pins() {
     use stamp_suite::{generate, GenConfig};
 
     let mut rng = StdRng::seed_from_u64(0xE6);
-    for &(constructs, pinned) in SCALING_EVALS {
+    for &(constructs, evaluations, wcet) in SCALING_EVALS {
         let cfg = GenConfig { constructs, functions: 2, ..GenConfig::default() };
         let src = generate(&mut rng, &cfg);
         let program = assemble(&src).expect("generated");
         let report = WcetAnalysis::new(&program).run().expect("analysis");
-        assert_eq!(report.evaluations, pinned, "scaling/{constructs}: solver evaluations drifted");
+        assert_eq!(
+            report.evaluations, evaluations,
+            "scaling/{constructs}: solver evaluations drifted"
+        );
+        assert_eq!(report.wcet, wcet, "scaling/{constructs}: WCET bound drifted");
     }
 }

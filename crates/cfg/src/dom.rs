@@ -12,8 +12,10 @@ pub struct Dominators {
     /// Immediate dominator per block (`idom[entry] == entry`); blocks not
     /// in this function map to `None`.
     idom: Vec<Option<BlockId>>,
-    /// Reverse post-order used for the computation.
-    rpo: Vec<BlockId>,
+    /// Per block: its dominator-tree preorder number and the last
+    /// preorder number in its subtree (`u32::MAX` outside the tree), so
+    /// that [`Dominators::dominates`] is one interval test.
+    range: Vec<(u32, u32)>,
 }
 
 impl Cfg {
@@ -64,16 +66,33 @@ impl Cfg {
                 }
             }
         }
-        Dominators { entry, idom, rpo }
+
+        let mut children: Vec<Vec<BlockId>> = vec![Vec::new(); n];
+        for &b in rpo.iter().skip(1) {
+            if let Some(p) = idom[b.index()] {
+                children[p.index()].push(b);
+            }
+        }
+        let mut range = vec![(u32::MAX, u32::MAX); n];
+        range[entry.index()].0 = 0;
+        let mut next = 1;
+        let mut stack = vec![(entry, 0usize)];
+        while let Some(&mut (b, ref mut i)) = stack.last_mut() {
+            if let Some(&c) = children[b.index()].get(*i) {
+                *i += 1;
+                range[c.index()].0 = next;
+                next += 1;
+                stack.push((c, 0));
+            } else {
+                range[b.index()].1 = next - 1;
+                stack.pop();
+            }
+        }
+        Dominators { entry, idom, range }
     }
 }
 
 impl Dominators {
-    /// The function entry block.
-    pub fn entry(&self) -> BlockId {
-        self.entry
-    }
-
     /// The immediate dominator of `b` (`None` for the entry or blocks of
     /// other functions).
     pub fn idom(&self, b: BlockId) -> Option<BlockId> {
@@ -86,24 +105,9 @@ impl Dominators {
 
     /// Returns `true` if `a` dominates `b` (reflexive).
     pub fn dominates(&self, a: BlockId, b: BlockId) -> bool {
-        let mut cur = b;
-        loop {
-            if cur == a {
-                return true;
-            }
-            if cur == self.entry {
-                return false;
-            }
-            match self.idom[cur.index()] {
-                Some(next) => cur = next,
-                None => return false,
-            }
-        }
-    }
-
-    /// The reverse post-order the tree was computed over.
-    pub fn rpo(&self) -> &[BlockId] {
-        &self.rpo
+        let (pre_a, last_a) = self.range[a.index()];
+        let pre_b = self.range[b.index()].0;
+        a == b || (pre_a != u32::MAX && pre_b != u32::MAX && pre_a <= pre_b && pre_b <= last_a)
     }
 }
 

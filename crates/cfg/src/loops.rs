@@ -1,6 +1,6 @@
 //! Natural-loop detection and the loop nesting forest.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 
 use crate::build::CfgError;
 use crate::graph::{BlockId, Cfg, EdgeId, FuncId};
@@ -59,17 +59,15 @@ impl Cfg {
 
         // Collect back edges: u→h with h dominating u. Any other cycle
         // edge makes the graph irreducible (checked below).
-        let mut headers: Vec<(BlockId, Vec<EdgeId>)> = Vec::new();
+        let mut back_edges: HashMap<BlockId, Vec<EdgeId>> = HashMap::new();
         for &b in &func.blocks {
             for (eid, e) in self.succs(b) {
                 if dom.dominates(e.to, e.from) {
-                    match headers.iter_mut().find(|(h, _)| *h == e.to) {
-                        Some((_, v)) => v.push(eid),
-                        None => headers.push((e.to, vec![eid])),
-                    }
+                    back_edges.entry(e.to).or_default().push(eid);
                 }
             }
         }
+        let mut headers: Vec<(BlockId, Vec<EdgeId>)> = back_edges.into_iter().collect();
         headers.sort_by_key(|(h, _)| self.block(*h).start);
 
         // Natural loop of each header: backwards closure from the latches.
@@ -118,45 +116,19 @@ impl Cfg {
             return Err(CfgError::Irreducible { func_entry: func.entry_addr });
         }
 
-        // Nesting: parent = smallest strictly-containing loop.
-        let ids: Vec<LoopId> = loops.iter().map(|l| l.id).collect();
-        for &lid in &ids {
-            let mut best: Option<(usize, LoopId)> = None;
-            for &cand in &ids {
-                if cand == lid {
-                    continue;
-                }
-                let (a, b) = (&loops[lid.index()], &loops[cand.index()]);
-                if b.body.contains(&a.header) && b.body.is_superset(&a.body) && b.body != a.body {
-                    let size = b.body.len();
-                    if best.is_none_or(|(s, _)| size < s) {
-                        best = Some((size, cand));
-                    }
-                }
-            }
-            loops[lid.index()].parent = best.map(|(_, c)| c);
-        }
-        // Depths.
-        for i in 0..loops.len() {
-            let mut d = 1;
-            let mut cur = loops[i].parent;
-            while let Some(p) = cur {
-                d += 1;
-                cur = loops[p.index()].parent;
-            }
-            loops[i].depth = d;
-        }
-
-        // Innermost loop per block.
-        let mut innermost = vec![None; self.blocks().len()];
-        for l in &loops {
-            for &b in &l.body {
-                let cur: &mut Option<LoopId> = &mut innermost[b.index()];
-                match *cur {
-                    None => *cur = Some(l.id),
-                    Some(prev) if loops[prev.index()].depth < l.depth => *cur = Some(l.id),
-                    _ => {}
-                }
+        // Nesting. Natural loops with distinct headers are disjoint or
+        // nested, so a loop's parent is the smallest other loop holding
+        // its header. Visiting loops largest first, the last loop to
+        // claim a block is the smallest one containing it.
+        let mut order: Vec<usize> = (0..loops.len()).collect();
+        order.sort_by_key(|&i| std::cmp::Reverse(loops[i].body.len()));
+        let mut innermost: Vec<Option<LoopId>> = vec![None; self.blocks().len()];
+        for i in order {
+            let parent = innermost[loops[i].header.index()];
+            loops[i].parent = parent;
+            loops[i].depth = parent.map_or(1, |p| loops[p.index()].depth + 1);
+            for &b in &loops[i].body {
+                innermost[b.index()] = Some(loops[i].id);
             }
         }
         Ok(LoopForest { loops, innermost })

@@ -66,12 +66,21 @@ proptest! {
             }
         }
 
-        // Dominators: every function entry dominates all its blocks.
+        // Dominators: every function entry dominates all its blocks, and
+        // `dominates` agrees with walking the immediate-dominator chain.
         for f in cfg.functions() {
             let dom = cfg.dominators(f.id);
             for &b in &f.blocks {
                 if cfg.rpo(f.id).contains(&b) {
                     prop_assert!(dom.dominates(f.entry, b));
+                }
+                let mut chain = vec![b];
+                while let Some(d) = dom.idom(*chain.last().unwrap()) {
+                    chain.push(d);
+                }
+                for a in cfg.blocks() {
+                    let walked = a.id == b || (dom.idom(b).is_some() && chain.contains(&a.id));
+                    prop_assert_eq!(dom.dominates(a.id, b), walked);
                 }
             }
         }
@@ -88,6 +97,27 @@ proptest! {
                 for &e in &l.entry_edges {
                     prop_assert!(!l.body.contains(&cfg.edge(e).from));
                 }
+                // Nesting: the parent is the smallest other loop holding
+                // the header, and holds the whole body.
+                let parent = forest
+                    .loops()
+                    .iter()
+                    .filter(|o| o.id != l.id && o.body.contains(&l.header))
+                    .min_by_key(|o| o.body.len());
+                prop_assert_eq!(l.parent, parent.map(|o| o.id));
+                prop_assert_eq!(l.depth, parent.map_or(1, |o| o.depth + 1));
+                if let Some(o) = parent {
+                    prop_assert!(o.body.is_superset(&l.body) && o.body.len() > l.body.len());
+                }
+            }
+            for &b in &f.blocks {
+                let smallest = forest
+                    .loops()
+                    .iter()
+                    .filter(|l| l.body.contains(&b))
+                    .min_by_key(|l| l.body.len())
+                    .map(|l| l.id);
+                prop_assert_eq!(forest.innermost(b), smallest);
             }
         }
     }

@@ -27,7 +27,7 @@ use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 
-use stamp_ai::{Frame, IEdgeId, IEdgeKind, Icfg, NodeId};
+use stamp_ai::{IEdgeId, Icfg, NodeId};
 use stamp_cfg::{BlockId, Cfg};
 use stamp_ilp::{CmpOp, IlpError, LpProblem, VarId};
 use stamp_loopbound::LoopBoundAnalysis;
@@ -376,55 +376,24 @@ fn prepare(
         lp.add_constraint(sink_terms, CmpOp::Eq, 1);
     }
 
-    // Loop bounds per loop instance: (header, stripped context) →
-    // (entry edges, back edges).
-    type LoopInstanceKey = (BlockId, Vec<Frame>);
-    type LoopInstanceEdges = (Vec<IEdgeId>, Vec<IEdgeId>);
-    let mut instances: HashMap<LoopInstanceKey, LoopInstanceEdges> = HashMap::new();
-    for e in icfg.edges() {
-        let to = icfg.node(e.to);
-        // Instance key: target context with the loop's own trailing frame
-        // stripped (matching `stamp-loopbound`).
-        let header = to.block;
-        let is_back_of_header =
-            matches!(e.kind, IEdgeKind::Intra { back_edge_of: Some(h), .. } if h == header);
-        let header_has_loop = lb.bounds().keys().any(|(h, _)| *h == header)
-            || lb.unbounded().iter().any(|(h, _)| *h == header);
-        if !header_has_loop {
-            continue;
-        }
-        let ctx = icfg.ctxs().get(to.ctx);
-        let mut frames = ctx.frames().to_vec();
-        if matches!(frames.last(), Some(Frame::Loop { header: h, .. }) if *h == header) {
-            frames.pop();
-        }
-        let entry = instances.entry((header, frames)).or_default();
-        if is_back_of_header {
-            entry.1.push(e.id);
-        } else {
-            entry.0.push(e.id);
-        }
-    }
+    // Loop bounds per loop instance, in key order.
     let infeasible_set: std::collections::HashSet<IEdgeId> =
         va.infeasible_edges().iter().copied().collect();
-    // Deterministic instance order (HashMap iteration is not): sorted
-    // by (header, stripped context).
-    let mut instances: Vec<(LoopInstanceKey, LoopInstanceEdges)> = instances.into_iter().collect();
-    instances.sort_by(|a, b| a.0.cmp(&b.0));
     let mut recorded: Vec<Instance> = Vec::new();
-    for ((header, frames), (entries, backs)) in instances {
+    for inst in icfg.loop_instances().all() {
+        let (entries, backs) = (&inst.entries, &inst.backs);
         if backs.is_empty() {
             continue;
         }
-        let rule = match lb.bound(header, &frames) {
-            Some(bound) => {
+        let rule = match lb.bounds().get(&inst.key) {
+            Some(&bound) => {
                 // Σ backs − (bound−1) · Σ entries ≤ 0.
                 let mut terms: Vec<(VarId, i64)> = Vec::new();
-                for b in &backs {
+                for b in backs {
                     terms.push((evar[b.index()], 1));
                 }
                 let k = (bound.saturating_sub(1)).min(i64::MAX as u64) as i64;
-                for en in &entries {
+                for en in entries {
                     terms.push((evar[en.index()], -k));
                 }
                 lp.add_constraint(terms, CmpOp::Le, 0);
@@ -440,7 +409,7 @@ fn prepare(
                 });
                 if !unreachable {
                     return Err(PathError::MissingLoopBound {
-                        header_addr: cfg.block(header).start,
+                        header_addr: cfg.block(inst.key.0).start,
                     });
                 }
                 for e in entries.iter().chain(backs.iter()) {
@@ -449,7 +418,7 @@ fn prepare(
                 InstanceRule::PinUnreachable
             }
         };
-        recorded.push(Instance { entries, backs, rule });
+        recorded.push(Instance { entries: entries.clone(), backs: backs.clone(), rule });
     }
 
     // Infeasible edges.

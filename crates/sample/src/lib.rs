@@ -25,9 +25,8 @@
 //!
 //! * it is one source→sink flow, so flow conservation holds;
 //! * a back edge is only taken while `backs + 1 ≤ (bound−1) · entries`
-//!   for its loop instance — instances are keyed exactly as in
-//!   `stamp-path` (header block, target context with the loop's own
-//!   trailing frame stripped);
+//!   for its loop instance — the same [`Icfg::loop_instances`] table
+//!   the ILP's loop constraints are built from;
 //! * edges the ILP pins to zero are never traversed: value-analysis
 //!   infeasible edges (when `use_infeasible` is on, matching
 //!   [`PathOptions::use_infeasible`]) and the edges of unbounded
@@ -45,8 +44,8 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use stamp_ai::{Frame, IEdgeKind, Icfg, NodeId};
-use stamp_cfg::{BlockId, Cfg};
+use stamp_ai::{IEdgeId, Icfg, NodeId};
+use stamp_cfg::Cfg;
 use stamp_loopbound::LoopBoundAnalysis;
 use stamp_pipeline::PipelineAnalysis;
 use stamp_value::ValueAnalysis;
@@ -118,16 +117,6 @@ pub fn percentile(sorted: &[u64], pct: u32) -> Option<u64> {
     Some(sorted[rank - 1])
 }
 
-/// One loop instance of the supergraph, keyed as in `stamp-path`.
-struct LoopInstance {
-    /// `lb.bound(header, frames)`; `None` for unbounded instances
-    /// (whose edges are blocked, mirroring the ILP's pin-to-zero).
-    bound: Option<u64>,
-    /// Whether any back edge targets this instance (the ILP only
-    /// constrains instances with back edges).
-    has_backs: bool,
-}
-
 /// Samples `options.samples` random entry→exit paths and summarizes
 /// their cost distribution. Reuses the already-computed analysis
 /// artifacts — no phase is re-run.
@@ -150,36 +139,12 @@ pub fn sample_paths(
         edge_cost.push(pa.time(e.to).unwrap_or(0) + pa.edge_penalty(cfg, icfg, e));
     }
 
-    // Loop instances: (header block, target context with the loop's
-    // own trailing frame stripped) — exactly the ILP's keying.
-    let mut instances: Vec<LoopInstance> = Vec::new();
-    let mut instance_of: std::collections::HashMap<(BlockId, Vec<Frame>), usize> =
-        std::collections::HashMap::new();
-    // Per edge: Some((instance index, is_back)) when the edge targets a
-    // loop-header node.
-    let mut edge_loop: Vec<Option<(usize, bool)>> = vec![None; n_edges];
-    for e in icfg.edges() {
-        let to = icfg.node(e.to);
-        let header = to.block;
-        let header_has_loop = lb.bounds().keys().any(|(h, _)| *h == header)
-            || lb.unbounded().iter().any(|(h, _)| *h == header);
-        if !header_has_loop {
-            continue;
-        }
-        let is_back =
-            matches!(e.kind, IEdgeKind::Intra { back_edge_of: Some(h), .. } if h == header);
-        let ctx = icfg.ctxs().get(to.ctx);
-        let mut frames = ctx.frames().to_vec();
-        if matches!(frames.last(), Some(Frame::Loop { header: h, .. }) if *h == header) {
-            frames.pop();
-        }
-        let idx = *instance_of.entry((header, frames.clone())).or_insert_with(|| {
-            instances.push(LoopInstance { bound: lb.bound(header, &frames), has_backs: false });
-            instances.len() - 1
-        });
-        instances[idx].has_backs |= is_back;
-        edge_loop[e.id.index()] = Some((idx, is_back));
-    }
+    // Loop instances, exactly as the ILP constrains them:
+    // `lb.bounds()` per instance (`None` for unbounded instances, whose
+    // edges are blocked, mirroring the ILP's pin-to-zero).
+    let loops = icfg.loop_instances();
+    let bounds: Vec<Option<u64>> =
+        loops.all().iter().map(|inst| lb.bounds().get(&inst.key).copied()).collect();
 
     // Edges a walk must never traverse: value-analysis infeasible edges
     // (when the ILP pins them too) and every edge of an unbounded loop
@@ -192,11 +157,10 @@ pub fn sample_paths(
             blocked[e.index()] = true;
         }
     }
-    for (idx, bl) in edge_loop.iter().zip(blocked.iter_mut()) {
-        if let Some((inst, _)) = idx {
-            let inst = &instances[*inst];
-            if inst.has_backs && inst.bound.is_none() {
-                *bl = true;
+    for (i, inst) in loops.all().iter().enumerate() {
+        if !inst.backs.is_empty() && bounds[i].is_none() {
+            for e in inst.entries.iter().chain(&inst.backs) {
+                blocked[e.index()] = true;
             }
         }
     }
@@ -212,10 +176,10 @@ pub fn sample_paths(
     let mut costs: Vec<u64> = Vec::with_capacity(options.samples);
     let mut dead_ends = 0usize;
     // (entries, backs) per loop instance, reset per walk.
-    let mut counters: Vec<(u64, u64)> = vec![(0, 0); instances.len()];
-    // Eligible successors of the current node: (edge index, target,
+    let mut counters: Vec<(u64, u64)> = vec![(0, 0); bounds.len()];
+    // Eligible successors of the current node: (edge, target,
     // weight). Reused across steps.
-    let mut eligible: Vec<(usize, NodeId, u64)> = Vec::new();
+    let mut eligible: Vec<(IEdgeId, NodeId, u64)> = Vec::new();
 
     for _ in 0..options.samples {
         counters.iter_mut().for_each(|c| *c = (0, 0));
@@ -232,16 +196,15 @@ pub fn sample_paths(
             eligible.clear();
             let mut total_w: u64 = 0;
             for e in icfg.succs(cur) {
-                let idx = e.id.index();
-                if blocked[idx] {
+                if blocked[e.id.index()] {
                     continue;
                 }
-                let w = match edge_loop[idx] {
+                let w = match loops.of_edge(e.id) {
                     Some((inst, true)) => {
                         // Back edge: weight = remaining iteration budget
                         // of the ILP constraint Σbacks ≤ (bound−1)·Σentries.
                         let (entries, backs) = counters[inst];
-                        let bound = instances[inst].bound.expect("unbounded backs are blocked");
+                        let bound = bounds[inst].expect("unbounded backs are blocked");
                         let budget =
                             bound.saturating_sub(1).saturating_mul(entries).saturating_sub(backs);
                         if budget == 0 {
@@ -252,7 +215,7 @@ pub fn sample_paths(
                     _ => 1,
                 };
                 total_w = total_w.saturating_add(w);
-                eligible.push((idx, e.to, w));
+                eligible.push((e.id, e.to, w));
             }
             if eligible.is_empty() {
                 break false;
@@ -267,9 +230,9 @@ pub fn sample_paths(
                 }
                 pick -= w;
             }
-            let (idx, to, _) = eligible[sel];
-            cost = cost.saturating_add(edge_cost[idx]);
-            if let Some((inst, is_back)) = edge_loop[idx] {
+            let (id, to, _) = eligible[sel];
+            cost = cost.saturating_add(edge_cost[id.index()]);
+            if let Some((inst, is_back)) = loops.of_edge(id) {
                 if is_back {
                     counters[inst].1 += 1;
                 } else {
