@@ -11,7 +11,7 @@ use std::collections::{HashMap, VecDeque};
 use std::error::Error;
 use std::fmt;
 
-use stamp_cfg::{BlockId, Cfg, CfgError, EdgeId, EdgeKind, FuncId};
+use stamp_cfg::{digraph, BlockId, Cfg, CfgError, EdgeId, EdgeKind, FuncId};
 
 use crate::context::{Ctx, CtxId, CtxTable, Frame, VivuConfig};
 
@@ -443,9 +443,15 @@ impl<'c> Builder<'c> {
             }
         }
 
+        let mut nodes_by_block: HashMap<BlockId, Vec<NodeId>> = HashMap::new();
+        for nd in &self.nodes {
+            nodes_by_block.entry(nd.block).or_default().push(nd.id);
+        }
+
         // Return edges: connect every return-block instance of a callee
         // whose context sits inside the inlined call to the caller's
         // continuation.
+        let cfg = self.cfg;
         let instances = self.call_instances.clone();
         for inst in &instances {
             let ret_node = match inst.return_node {
@@ -453,17 +459,11 @@ impl<'c> Builder<'c> {
                 None => continue,
             };
             let inner_ctx = self.ctxs.get(inst.inner).clone();
-            for &rb in &self.cfg.func(inst.callee).returns.clone() {
-                let candidates: Vec<NodeId> = self
-                    .nodes
-                    .iter()
-                    .filter(|nd| {
-                        nd.block == rb && self.ctxs.get(nd.ctx).extends_with_loops(&inner_ctx)
-                    })
-                    .map(|nd| nd.id)
-                    .collect();
-                for c in candidates {
-                    self.add_edge(c, ret_node, IEdgeKind::Return { site: inst.site });
+            for rb in &cfg.func(inst.callee).returns {
+                for &c in nodes_by_block.get(rb).map_or(&[][..], Vec::as_slice) {
+                    if self.ctxs.get(self.nodes[c.index()].ctx).extends_with_loops(&inner_ctx) {
+                        self.add_edge(c, ret_node, IEdgeKind::Return { site: inst.site });
+                    }
                 }
             }
         }
@@ -482,33 +482,12 @@ impl<'c> Builder<'c> {
         }
 
         // Reverse post-order from the entry.
-        let n = self.nodes.len();
-        let mut rpo_index = vec![u32::MAX; n];
-        let mut visited = vec![false; n];
-        let mut post: Vec<NodeId> = Vec::new();
-        let mut stack: Vec<(NodeId, usize)> = vec![(entry, 0)];
-        visited[entry.index()] = true;
-        while let Some(&mut (nd, ref mut i)) = stack.last_mut() {
-            let outs = &self.succs[nd.index()];
-            if *i < outs.len() {
-                let to = self.edges[outs[*i].index()].to;
-                *i += 1;
-                if !visited[to.index()] {
-                    visited[to.index()] = true;
-                    stack.push((to, 0));
-                }
-            } else {
-                post.push(nd);
-                stack.pop();
-            }
-        }
-        for (i, nd) in post.iter().rev().enumerate() {
-            rpo_index[nd.index()] = i as u32;
-        }
-
-        let mut nodes_by_block: HashMap<BlockId, Vec<NodeId>> = HashMap::new();
-        for nd in &self.nodes {
-            nodes_by_block.entry(nd.block).or_default().push(nd.id);
+        let mut rpo_index = vec![u32::MAX; self.nodes.len()];
+        let order = digraph::reverse_postorder(self.nodes.len(), entry.0, |u| {
+            self.succs[u as usize].iter().map(|e| self.edges[e.index()].to.0)
+        });
+        for (i, u) in order.into_iter().enumerate() {
+            rpo_index[u as usize] = i as u32;
         }
 
         Ok(Icfg {

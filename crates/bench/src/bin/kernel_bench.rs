@@ -790,9 +790,10 @@ fn sampling_rows(reps: usize) -> SamplingBench {
 }
 
 /// The serve-engine workload: the corpus × 3-variant request mix as
-/// protocol lines through an in-process daemon [`Engine`], cold (fresh
-/// engine and store) versus warm (same engine, store primed by a full
-/// previous pass) — the steady state a long-lived daemon reaches.
+/// protocol lines through an in-process daemon
+/// [`Engine`](stamp_serve::Engine), cold (fresh engine and store) versus
+/// warm (same engine, store primed by a full previous pass) — the steady
+/// state a long-lived daemon reaches.
 struct ServeBench {
     workers: usize,
     requests_total: usize,

@@ -118,8 +118,8 @@ struct FnInfo {
     addrs: BTreeSet<u32>,
     /// Block leader addresses.
     leaders: BTreeSet<u32>,
-    /// `(call addr, direct targets)` of calls in this function.
-    calls: Vec<(u32, Vec<u32>)>,
+    /// Call address → direct targets, for calls in this function.
+    calls: BTreeMap<u32, Vec<u32>>,
 }
 
 struct Discovery<'p> {
@@ -167,7 +167,7 @@ impl<'p> Discovery<'p> {
             entry,
             addrs: BTreeSet::new(),
             leaders: BTreeSet::from([entry]),
-            calls: Vec::new(),
+            calls: BTreeMap::new(),
         });
         queue.push_back(entry);
         i
@@ -209,7 +209,7 @@ impl<'p> Discovery<'p> {
                     self.register_func(target, queue);
                     let f = &mut self.funcs[fi];
                     f.leaders.insert(addr + 4);
-                    f.calls.push((addr, vec![target]));
+                    f.calls.insert(addr, vec![target]);
                     work.push(addr + 4);
                 }
                 Flow::IndirectCall => {
@@ -225,7 +225,7 @@ impl<'p> Discovery<'p> {
                     }
                     let f = &mut self.funcs[fi];
                     f.leaders.insert(addr + 4);
-                    f.calls.push((addr, targets));
+                    f.calls.insert(addr, targets);
                     work.push(addr + 4);
                 }
                 Flow::IndirectJump => {
@@ -346,11 +346,7 @@ impl<'p> Discovery<'p> {
                 }
                 Flow::Call { .. } | Flow::IndirectCall => {
                     let info = &self.funcs[b.func.index()];
-                    let (_, targets) = info
-                        .calls
-                        .iter()
-                        .find(|(a, _)| *a == last_addr)
-                        .expect("call recorded during discovery");
+                    let targets = &info.calls[&last_addr];
                     let return_to = block_at.get(&next).copied();
                     if let Some(to) = return_to {
                         add_edge(&mut edges, &mut succs, &mut preds, b.id, to, EdgeKind::CallFall);

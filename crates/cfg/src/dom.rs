@@ -1,5 +1,6 @@
-//! Dominator trees (Cooper–Harvey–Kennedy iterative algorithm).
+//! Dominator trees of single functions.
 
+use crate::digraph::DomTree;
 use crate::graph::{BlockId, Cfg, FuncId};
 
 /// The dominator tree of one function.
@@ -8,106 +9,40 @@ use crate::graph::{BlockId, Cfg, FuncId};
 /// from the function entry to `b` passes through `a`.
 #[derive(Clone, Debug)]
 pub struct Dominators {
-    entry: BlockId,
-    /// Immediate dominator per block (`idom[entry] == entry`); blocks not
-    /// in this function map to `None`.
-    idom: Vec<Option<BlockId>>,
-    /// Per block: its dominator-tree preorder number and the last
-    /// preorder number in its subtree (`u32::MAX` outside the tree), so
-    /// that [`Dominators::dominates`] is one interval test.
-    range: Vec<(u32, u32)>,
+    /// The function's first block id: its blocks are `base..base + n`,
+    /// numbered `0..n` in `tree`.
+    base: u32,
+    tree: DomTree,
 }
 
 impl Cfg {
-    /// Computes the dominator tree of function `f`.
+    /// Computes the dominator tree of function `f`, touching only that
+    /// function's blocks.
     pub fn dominators(&self, f: FuncId) -> Dominators {
-        let rpo = self.rpo(f);
-        let entry = self.func(f).entry;
-        let n = self.blocks().len();
-        let mut order = vec![usize::MAX; n]; // block -> rpo index
-        for (i, &b) in rpo.iter().enumerate() {
-            order[b.index()] = i;
-        }
-        let mut idom: Vec<Option<BlockId>> = vec![None; n];
-        idom[entry.index()] = Some(entry);
-
-        let intersect = |idom: &[Option<BlockId>], mut a: BlockId, mut b: BlockId| -> BlockId {
-            while a != b {
-                while order[a.index()] > order[b.index()] {
-                    a = idom[a.index()].expect("processed");
-                }
-                while order[b.index()] > order[a.index()] {
-                    b = idom[b.index()].expect("processed");
-                }
-            }
-            a
-        };
-
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for &b in rpo.iter().skip(1) {
-                let mut new_idom: Option<BlockId> = None;
-                for (_, e) in self.preds(b) {
-                    let p = e.from;
-                    if order[p.index()] == usize::MAX || idom[p.index()].is_none() {
-                        continue; // unreachable or not yet processed
-                    }
-                    new_idom = Some(match new_idom {
-                        None => p,
-                        Some(cur) => intersect(&idom, cur, p),
-                    });
-                }
-                if let Some(ni) = new_idom {
-                    if idom[b.index()] != Some(ni) {
-                        idom[b.index()] = Some(ni);
-                        changed = true;
-                    }
-                }
-            }
-        }
-
-        let mut children: Vec<Vec<BlockId>> = vec![Vec::new(); n];
-        for &b in rpo.iter().skip(1) {
-            if let Some(p) = idom[b.index()] {
-                children[p.index()].push(b);
-            }
-        }
-        let mut range = vec![(u32::MAX, u32::MAX); n];
-        range[entry.index()].0 = 0;
-        let mut next = 1;
-        let mut stack = vec![(entry, 0usize)];
-        while let Some(&mut (b, ref mut i)) = stack.last_mut() {
-            if let Some(&c) = children[b.index()].get(*i) {
-                *i += 1;
-                range[c.index()].0 = next;
-                next += 1;
-                stack.push((c, 0));
-            } else {
-                range[b.index()].1 = next - 1;
-                stack.pop();
-            }
-        }
-        Dominators { entry, idom, range }
+        let (base, n, entry) = self.local_graph(f);
+        Dominators { base, tree: DomTree::new(n, entry, |u| self.local_succs(base, u)) }
     }
 }
 
 impl Dominators {
+    /// The function-local number of `b`, if `b` belongs to the function.
+    fn local(&self, b: BlockId) -> Option<u32> {
+        let u = b.0.wrapping_sub(self.base);
+        ((u as usize) < self.tree.node_count()).then_some(u)
+    }
+
     /// The immediate dominator of `b` (`None` for the entry or blocks of
     /// other functions).
     pub fn idom(&self, b: BlockId) -> Option<BlockId> {
-        if b == self.entry {
-            None
-        } else {
-            self.idom[b.index()]
-        }
+        self.local(b).and_then(|u| self.tree.idom(u)).map(|d| BlockId(self.base + d))
     }
 
     /// Returns `true` if `a` dominates `b` (reflexive).
     pub fn dominates(&self, a: BlockId, b: BlockId) -> bool {
-        let (pre_a, last_a) = self.range[a.index()];
-        let pre_b = self.range[b.index()].0;
-        a == b || (pre_a != u32::MAX && pre_b != u32::MAX && pre_a <= pre_b && pre_b <= last_a)
+        match (self.local(a), self.local(b)) {
+            (Some(a), Some(b)) => self.tree.dominates(a, b),
+            _ => a == b,
+        }
     }
 }
 

@@ -5,6 +5,8 @@ use std::fmt;
 
 use stamp_isa::{Flow, Insn};
 
+use crate::digraph;
+
 /// Index of a basic block in a [`Cfg`].
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct BlockId(pub u32);
@@ -172,7 +174,9 @@ pub struct Function {
     pub entry: BlockId,
     /// Symbolic name (from the symbol table, or `fn_<addr>`).
     pub name: String,
-    /// All blocks, in ascending start-address order.
+    /// All blocks, in ascending start-address order. Their ids are
+    /// contiguous and ascending too: reconstruction numbers blocks
+    /// function by function.
     pub blocks: Vec<BlockId>,
     /// Blocks whose last instruction is a `return`.
     pub returns: Vec<BlockId>,
@@ -189,6 +193,7 @@ pub struct Cfg {
     pub(crate) edges: Vec<Edge>,
     pub(crate) succs: Vec<Vec<EdgeId>>,
     pub(crate) preds: Vec<Vec<EdgeId>>,
+    /// Sorted by block (each block ends in at most one call).
     pub(crate) call_sites: Vec<CallSite>,
     pub(crate) block_at: BTreeMap<u32, BlockId>,
     pub(crate) entry_func: FuncId,
@@ -249,7 +254,19 @@ impl Cfg {
 
     /// The call site whose call instruction terminates `b`, if any.
     pub fn call_site_of(&self, b: BlockId) -> Option<&CallSite> {
-        self.call_sites.iter().find(|c| c.block == b)
+        let i = self.call_sites.partition_point(|c| c.block < b);
+        self.call_sites.get(i).filter(|c| c.block == b)
+    }
+
+    /// The call sites of function `f`, in block order. Call sites are
+    /// sorted by block and a function's blocks are contiguous, so this
+    /// is a slice, found by binary search.
+    pub fn call_sites_of(&self, f: FuncId) -> &[CallSite] {
+        let blocks = &self.func(f).blocks;
+        let (first, last) = (blocks[0], blocks[blocks.len() - 1]);
+        let lo = self.call_sites.partition_point(|c| c.block < first);
+        let hi = self.call_sites.partition_point(|c| c.block <= last);
+        &self.call_sites[lo..hi]
     }
 
     /// The block starting exactly at `addr`.
@@ -274,15 +291,14 @@ impl Cfg {
         &self.unresolved
     }
 
-    /// Direct callees of a function (via its call sites).
+    /// Direct callees of a function (via its call sites), in call-site
+    /// order without repeats.
     pub fn callees(&self, f: FuncId) -> Vec<FuncId> {
-        let mut out = Vec::new();
-        for cs in &self.call_sites {
-            if self.block(cs.block).func == f {
-                for &t in cs.callee.targets() {
-                    if !out.contains(&t) {
-                        out.push(t);
-                    }
+        let mut out: Vec<FuncId> = Vec::new();
+        for cs in self.call_sites_of(f) {
+            for &t in cs.callee.targets() {
+                if !out.contains(&t) {
+                    out.push(t);
                 }
             }
         }
@@ -292,28 +308,24 @@ impl Cfg {
     /// Reverse post-order of one function's blocks (ignoring `CallFall`
     /// distinction; all intra-procedural edges are followed).
     pub fn rpo(&self, f: FuncId) -> Vec<BlockId> {
-        let entry = self.func(f).entry;
-        let mut visited = vec![false; self.blocks.len()];
-        let mut post = Vec::new();
-        // Iterative DFS with an explicit stack of (block, next-succ-index).
-        let mut stack = vec![(entry, 0usize)];
-        visited[entry.index()] = true;
-        while let Some(&mut (b, ref mut i)) = stack.last_mut() {
-            let succ_edges = &self.succs[b.index()];
-            if *i < succ_edges.len() {
-                let e = self.edges[succ_edges[*i].index()];
-                *i += 1;
-                if !visited[e.to.index()] {
-                    visited[e.to.index()] = true;
-                    stack.push((e.to, 0));
-                }
-            } else {
-                post.push(b);
-                stack.pop();
-            }
-        }
-        post.reverse();
-        post
+        let (base, n, entry) = self.local_graph(f);
+        let order = digraph::reverse_postorder(n, entry, |u| self.local_succs(base, u));
+        order.into_iter().map(|u| BlockId(base + u)).collect()
+    }
+
+    /// Function `f` as a dense graph for [`digraph`]: its first block id
+    /// `base`, its block count, and its entry numbered from `base`.
+    pub(crate) fn local_graph(&self, f: FuncId) -> (u32, usize, u32) {
+        let func = self.func(f);
+        let base = func.blocks[0].0;
+        (base, func.blocks.len(), func.entry.0 - base)
+    }
+
+    /// The successors of local block `u` of the function based at
+    /// `base`, in edge order (intra-procedural edges never leave the
+    /// function).
+    pub(crate) fn local_succs(&self, base: u32, u: u32) -> impl Iterator<Item = u32> + '_ {
+        self.succs[(base + u) as usize].iter().map(move |e| self.edges[e.index()].to.0 - base)
     }
 
     /// Total number of instructions in the graph.

@@ -15,7 +15,10 @@
 //! On top of the raw graph the crate provides dominator trees
 //! ([`Dominators`]), natural-loop detection ([`LoopForest`]) and an
 //! annotated DOT export ([`dot::render`]) standing in for the aiSee
-//! visualizations mentioned in the paper.
+//! visualizations mentioned in the paper. The graph algorithms behind
+//! them — reverse postorder, dominators, strongly connected components
+//! — live once in [`digraph`], which the supergraph, path and stack
+//! passes call as well.
 //!
 //! # Example
 //!
@@ -37,6 +40,7 @@
 
 mod build;
 mod codec;
+pub mod digraph;
 mod dom;
 pub mod dot;
 mod graph;

@@ -3,6 +3,8 @@
 use std::collections::{BTreeSet, HashMap};
 
 use crate::build::CfgError;
+use crate::digraph::Sccs;
+use crate::dom::Dominators;
 use crate::graph::{BlockId, Cfg, EdgeId, FuncId};
 
 /// Index of a loop within a [`LoopForest`].
@@ -41,8 +43,12 @@ pub struct Loop {
 #[derive(Clone, Debug)]
 pub struct LoopForest {
     loops: Vec<Loop>,
-    /// Innermost loop containing each block.
+    /// Innermost loop containing each block of the function, indexed
+    /// from the function's first block id `base`.
     innermost: Vec<Option<LoopId>>,
+    base: u32,
+    /// The dominator tree the loops were found with.
+    dom: Dominators,
 }
 
 impl Cfg {
@@ -108,11 +114,17 @@ impl Cfg {
             });
         }
 
-        // Irreducibility check: removing back edges must leave the graph
-        // acyclic.
-        let back: BTreeSet<EdgeId> =
-            loops.iter().flat_map(|l| l.back_edges.iter().copied()).collect();
-        if has_cycle_without(self, func, &back) {
+        // Irreducibility check: removing the back edges (those whose
+        // target dominates their source) must leave the graph acyclic,
+        // i.e. without a strongly connected component of two or more
+        // blocks (self-loops are always back edges).
+        let (base, n, _) = self.local_graph(f);
+        let forward = Sccs::new(n, |u| {
+            self.succs(BlockId(base + u))
+                .filter(|(_, e)| !dom.dominates(e.to, e.from))
+                .map(|(_, e)| e.to.0 - base)
+        });
+        if forward.iter().any(|members| members.len() > 1) {
             return Err(CfgError::Irreducible { func_entry: func.entry_addr });
         }
 
@@ -122,59 +134,17 @@ impl Cfg {
         // claim a block is the smallest one containing it.
         let mut order: Vec<usize> = (0..loops.len()).collect();
         order.sort_by_key(|&i| std::cmp::Reverse(loops[i].body.len()));
-        let mut innermost: Vec<Option<LoopId>> = vec![None; self.blocks().len()];
+        let mut innermost: Vec<Option<LoopId>> = vec![None; n];
         for i in order {
-            let parent = innermost[loops[i].header.index()];
+            let parent = innermost[(loops[i].header.0 - base) as usize];
             loops[i].parent = parent;
             loops[i].depth = parent.map_or(1, |p| loops[p.index()].depth + 1);
             for &b in &loops[i].body {
-                innermost[b.index()] = Some(loops[i].id);
+                innermost[(b.0 - base) as usize] = Some(loops[i].id);
             }
         }
-        Ok(LoopForest { loops, innermost })
+        Ok(LoopForest { loops, innermost, base, dom })
     }
-}
-
-/// DFS cycle check ignoring the identified back edges.
-fn has_cycle_without(cfg: &Cfg, func: &crate::graph::Function, back: &BTreeSet<EdgeId>) -> bool {
-    #[derive(Clone, Copy, PartialEq)]
-    enum Color {
-        White,
-        Grey,
-        Black,
-    }
-    let mut color = vec![Color::White; cfg.blocks().len()];
-    // Iterative DFS.
-    for &start in &func.blocks {
-        if color[start.index()] != Color::White {
-            continue;
-        }
-        let mut stack = vec![(start, 0usize)];
-        color[start.index()] = Color::Grey;
-        while let Some(&mut (b, ref mut i)) = stack.last_mut() {
-            let outs: Vec<EdgeId> = cfg.succs(b).map(|(e, _)| e).collect();
-            if *i < outs.len() {
-                let eid = outs[*i];
-                *i += 1;
-                if back.contains(&eid) {
-                    continue;
-                }
-                let to = cfg.edge(eid).to;
-                match color[to.index()] {
-                    Color::White => {
-                        color[to.index()] = Color::Grey;
-                        stack.push((to, 0));
-                    }
-                    Color::Grey => return true,
-                    Color::Black => {}
-                }
-            } else {
-                color[b.index()] = Color::Black;
-                stack.pop();
-            }
-        }
-    }
-    false
 }
 
 impl LoopForest {
@@ -191,7 +161,12 @@ impl LoopForest {
 
     /// The innermost loop containing `b`, if any.
     pub fn innermost(&self, b: BlockId) -> Option<LoopId> {
-        self.innermost.get(b.index()).copied().flatten()
+        self.innermost.get(b.0.wrapping_sub(self.base) as usize).copied().flatten()
+    }
+
+    /// The function's dominator tree, from which the loops were built.
+    pub fn dominators(&self) -> &Dominators {
+        &self.dom
     }
 
     /// The loop headed exactly at `b`, if any.

@@ -3,6 +3,7 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use stamp_cfg::digraph::{reverse_postorder, DomTree, Sccs};
 use stamp_cfg::{CfgBuilder, EdgeKind};
 use stamp_isa::asm::assemble;
 use stamp_isa::Flow;
@@ -118,6 +119,136 @@ proptest! {
                     .min_by_key(|l| l.body.len())
                     .map(|l| l.id);
                 prop_assert_eq!(forest.innermost(b), smallest);
+            }
+        }
+    }
+}
+
+/// Random digraphs on `n` nodes with node 0 as the entry. Arbitrary edge
+/// lists give unreachable nodes, self-loops, parallel edges and
+/// irreducible cycles.
+fn digraph() -> impl Strategy<Value = Vec<Vec<u32>>> {
+    (1usize..14).prop_flat_map(|n| {
+        prop::collection::vec((0..n as u32, 0..n as u32), 0..3 * n).prop_map(move |edges| {
+            let mut succs = vec![Vec::new(); n];
+            for (a, b) in edges {
+                succs[a as usize].push(b);
+            }
+            succs
+        })
+    })
+}
+
+/// The nodes reachable from `from` (inclusive) without passing `removed`.
+fn reach(succs: &[Vec<u32>], from: u32, removed: Option<u32>) -> Vec<bool> {
+    let mut seen = vec![false; succs.len()];
+    if Some(from) == removed {
+        return seen;
+    }
+    seen[from as usize] = true;
+    let mut work = vec![from];
+    while let Some(u) = work.pop() {
+        for &v in &succs[u as usize] {
+            if Some(v) != removed && !seen[v as usize] {
+                seen[v as usize] = true;
+                work.push(v);
+            }
+        }
+    }
+    seen
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The shared graph toolkit against the definitions it implements.
+    #[test]
+    fn digraph_results_match_their_definitions(succs in digraph()) {
+        let n = succs.len();
+        let next = |u: u32| succs[u as usize].clone();
+        let reachable = reach(&succs, 0, None);
+        let reaches: Vec<Vec<bool>> = (0..n as u32).map(|u| reach(&succs, u, None)).collect();
+
+        // RPO: exactly the reachable nodes, entry first, and every edge
+        // either goes forward in the order or closes a cycle.
+        let rpo = reverse_postorder(n, 0, next);
+        prop_assert_eq!(rpo.first().copied(), Some(0));
+        let mut pos = vec![usize::MAX; n];
+        for (i, &u) in rpo.iter().enumerate() {
+            prop_assert_eq!(pos[u as usize], usize::MAX, "node {} listed twice", u);
+            pos[u as usize] = i;
+        }
+        for u in 0..n {
+            prop_assert_eq!(pos[u] != usize::MAX, reachable[u]);
+            for &v in &succs[u] {
+                if reachable[u] {
+                    prop_assert!(pos[u] < pos[v as usize] || reaches[v as usize][u]);
+                }
+            }
+        }
+
+        // Dominators: for reachable b, a dominates b iff b is unreachable
+        // once a is removed; unreachable nodes only dominate themselves
+        // and are dominated only by themselves.
+        let dom = DomTree::new(n, 0, next);
+        prop_assert_eq!(dom.rpo(), &rpo[..]);
+        let dominates: Vec<Vec<bool>> = (0..n as u32)
+            .map(|a| {
+                let without = reach(&succs, 0, Some(a));
+                (0..n).map(|b| a as usize == b || (reachable[b] && !without[b])).collect()
+            })
+            .collect();
+        for a in 0..n as u32 {
+            for b in 0..n as u32 {
+                let expected = a == b || (reachable[a as usize] && dominates[a as usize][b as usize]);
+                prop_assert_eq!(dom.dominates(a, b), expected, "dominates({}, {})", a, b);
+                // The nearest common dominator dominates both and is
+                // dominated by every common dominator.
+                let ncd = dom.nearest_common_dominator(a, b);
+                prop_assert_eq!(ncd.is_some(), reachable[a as usize] && reachable[b as usize]);
+                if let Some(c) = ncd {
+                    prop_assert!(dom.dominates(c, a) && dom.dominates(c, b));
+                    for d in 0..n as u32 {
+                        if dom.dominates(d, a) && dom.dominates(d, b) {
+                            prop_assert!(dom.dominates(d, c));
+                        }
+                    }
+                }
+            }
+            // The immediate dominator is the closest strict dominator.
+            let strict: Vec<u32> = (0..n as u32)
+                .filter(|&d| d != a && reachable[a as usize] && dominates[d as usize][a as usize])
+                .collect();
+            match dom.idom(a) {
+                None => prop_assert!(strict.is_empty()),
+                Some(i) => {
+                    prop_assert!(strict.contains(&i));
+                    prop_assert!(strict.iter().all(|&d| dom.dominates(d, i)));
+                }
+            }
+        }
+
+        // SCCs: two nodes share a component iff each reaches the other,
+        // and every edge leaving a component points to one emitted
+        // earlier.
+        let sccs = Sccs::new(n, next);
+        let mut listed = 0;
+        for (i, members) in sccs.iter().enumerate() {
+            prop_assert!(!members.is_empty());
+            listed += members.len();
+            for &u in members {
+                prop_assert_eq!(sccs.component_of(u), i);
+            }
+        }
+        prop_assert_eq!(listed, n);
+        for u in 0..n as u32 {
+            for v in 0..n as u32 {
+                let same = sccs.component_of(u) == sccs.component_of(v);
+                let mutual = reaches[u as usize][v as usize] && reaches[v as usize][u as usize];
+                prop_assert_eq!(same, mutual, "nodes {} and {}", u, v);
+            }
+            for &v in &succs[u as usize] {
+                prop_assert!(sccs.component_of(v) <= sccs.component_of(u));
             }
         }
     }

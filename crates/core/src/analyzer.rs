@@ -94,6 +94,101 @@ pub(crate) fn value_phase(
     }
 }
 
+/// The CFG / context / value prefix both analyzers share (see
+/// [`resolve_prefix`]).
+pub(crate) struct Prefix {
+    /// The final CFG, with every resolvable indirect target.
+    pub cfg: Arc<Cfg>,
+    /// The fingerprint `cfg` is stored under.
+    pub cfg_fp: Fingerprint,
+    /// The supergraph, its value fixpoint and that fixpoint's
+    /// fingerprint — or the context-expansion error (recursion), on
+    /// which the stack analyzer falls back to the call graph.
+    pub context: Result<(Arc<Icfg>, ValueAnalysis, Fingerprint), AnalysisError>,
+}
+
+/// Phases 1 and 2 iterated: CFG building ↔ value analysis. A CFG that
+/// stops at an unresolved indirect jump is expanded and analyzed, the
+/// value analysis's jump targets are fed back into reconstruction, and
+/// the loop repeats until no indirect jump is left open. Each
+/// iteration's artifacts are keyed by the indirect-target map it starts
+/// from, so the whole feedback loop replays from the store when another
+/// job analyzed the same program. Reads the hardware, VIVU, value and
+/// iteration settings of `config`; pushes one [`PhaseStats`] per phase
+/// run.
+///
+/// # Errors
+///
+/// [`AnalysisError::UnresolvedIndirects`] when an iteration resolves no
+/// new target or the iteration cap is reached; CFG errors. Context
+/// errors are returned in [`Prefix::context`].
+pub(crate) fn resolve_prefix(
+    store: &ArtifactStore,
+    program: &Program,
+    mut extra: BTreeMap<u32, Vec<u32>>,
+    config: &AnalysisConfig,
+    phases: &mut Vec<PhaseStats>,
+) -> Result<Prefix, AnalysisError> {
+    let AnalysisConfig { hw, vivu, value, .. } = config;
+    let program_fp = phase::program_fingerprint(program);
+    let mut iteration = 0;
+    loop {
+        iteration += 1;
+        // Phase boundaries are cancellation points: a job running under
+        // a deadline is cut between phases (and inside the solver's own
+        // checkpoints), never mid-artifact. No store lock is held here,
+        // so the unwind cannot poison anything.
+        stamp_exec::cancel::checkpoint_now();
+        let t = Instant::now();
+        let cfg_fp = phase::cfg_fingerprint(program_fp, &extra);
+        let (cfg, reused) = store.get_or_compute(PhaseId::Cfg, cfg_fp, || {
+            let mut builder = CfgBuilder::new(program);
+            for (a, ts) in &extra {
+                builder.indirect_targets(*a, ts.iter().copied());
+            }
+            builder.build().map_err(AnalysisError::from)
+        })?;
+        phases.push(PhaseStats { phase: PhaseId::Cfg, seconds: t.elapsed().as_secs_f64(), reused });
+
+        let t = Instant::now();
+        let context_fp = phase::context_fingerprint(cfg_fp, vivu);
+        let (icfg, reused) = match store.get_or_compute(PhaseId::Context, context_fp, || {
+            Icfg::build(&cfg, vivu).map_err(AnalysisError::from)
+        }) {
+            Ok(built) => built,
+            Err(e) => return Ok(Prefix { cfg, cfg_fp, context: Err(e) }),
+        };
+        let seconds = t.elapsed().as_secs_f64();
+        phases.push(PhaseStats { phase: PhaseId::Context, seconds, reused });
+
+        let t = Instant::now();
+        let value_fp = phase::value_fingerprint(context_fp, &hw.mem, value);
+        let (va, reused) = value_phase(store, value_fp, program, hw, &cfg, &icfg, value);
+        let seconds = t.elapsed().as_secs_f64();
+        phases.push(PhaseStats { phase: PhaseId::Value, seconds, reused });
+
+        if cfg.unresolved_indirects().is_empty() {
+            return Ok(Prefix { cfg, cfg_fp, context: Ok((icfg, va, value_fp)) });
+        }
+        // Feed resolved targets back into CFG reconstruction.
+        let mut progress = false;
+        for (&addr, targets) in va.indirect_targets() {
+            let slot = extra.entry(addr).or_default();
+            for &t in targets {
+                if !slot.contains(&t) {
+                    slot.push(t);
+                    progress = true;
+                }
+            }
+        }
+        if !progress || iteration >= config.max_cfg_iterations {
+            return Err(AnalysisError::UnresolvedIndirects {
+                addrs: cfg.unresolved_indirects().to_vec(),
+            });
+        }
+    }
+}
+
 /// Every phase artifact behind a [`WcetReport`], exactly as the report
 /// was assembled from them. Returned by [`WcetAnalysis::run_full`] so
 /// downstream consumers — the probabilistic path sampler, the
@@ -210,78 +305,13 @@ impl<'p> WcetAnalysis<'p> {
     ) -> Result<(WcetReport, PhaseArtifacts), AnalysisError> {
         let program = self.program;
         let cfg_opts = &self.config;
-        let program_fp = phase::program_fingerprint(program);
         let mut phases: Vec<PhaseStats> = Vec::new();
 
-        // ---- Phase 1+2 iterated: CFG building ↔ value analysis. Each
-        // iteration's artifacts are keyed by the indirect-target map it
-        // starts from, so the whole feedback loop replays from the
-        // store when another job analyzed the same program.
-        let mut extra: BTreeMap<u32, Vec<u32>> = self.annotations.resolved_indirects(program);
-        let mut iteration = 0;
-        let (cfg, icfg, va, value_fp) = loop {
-            iteration += 1;
-            // Phase boundaries are cancellation points: a job running
-            // under a deadline is cut between phases (and inside the
-            // solver's own checkpoints), never mid-artifact. No store
-            // lock is held here, so the unwind cannot poison anything.
-            stamp_exec::cancel::checkpoint_now();
-            let t = Instant::now();
-            let cfg_fp = phase::cfg_fingerprint(program_fp, &extra);
-            let (cfg, reused) = store.get_or_compute(PhaseId::Cfg, cfg_fp, || {
-                let mut builder = CfgBuilder::new(program);
-                for (a, ts) in &extra {
-                    builder.indirect_targets(*a, ts.iter().copied());
-                }
-                builder.build().map_err(AnalysisError::from)
-            })?;
-            phases.push(PhaseStats {
-                phase: PhaseId::Cfg,
-                seconds: t.elapsed().as_secs_f64(),
-                reused,
-            });
-
-            let t = Instant::now();
-            let context_fp = phase::context_fingerprint(cfg_fp, &cfg_opts.vivu);
-            let (icfg, reused) = store.get_or_compute(PhaseId::Context, context_fp, || {
-                Icfg::build(&cfg, &cfg_opts.vivu).map_err(AnalysisError::from)
-            })?;
-            phases.push(PhaseStats {
-                phase: PhaseId::Context,
-                seconds: t.elapsed().as_secs_f64(),
-                reused,
-            });
-
-            let t = Instant::now();
-            let value_fp = phase::value_fingerprint(context_fp, &cfg_opts.hw.mem, &cfg_opts.value);
-            let (va, reused) =
-                value_phase(store, value_fp, program, &cfg_opts.hw, &cfg, &icfg, &cfg_opts.value);
-            phases.push(PhaseStats {
-                phase: PhaseId::Value,
-                seconds: t.elapsed().as_secs_f64(),
-                reused,
-            });
-
-            if cfg.unresolved_indirects().is_empty() {
-                break (cfg, icfg, va, value_fp);
-            }
-            // Feed resolved targets back into CFG reconstruction.
-            let mut progress = false;
-            for (&addr, targets) in va.indirect_targets() {
-                let slot = extra.entry(addr).or_default();
-                for &t in targets {
-                    if !slot.contains(&t) {
-                        slot.push(t);
-                        progress = true;
-                    }
-                }
-            }
-            if !progress || iteration >= cfg_opts.max_cfg_iterations {
-                return Err(AnalysisError::UnresolvedIndirects {
-                    addrs: cfg.unresolved_indirects().to_vec(),
-                });
-            }
-        };
+        // ---- Phase 1+2 iterated: CFG building ↔ value analysis.
+        let extra = self.annotations.resolved_indirects(program);
+        let prefix = resolve_prefix(store, program, extra, cfg_opts, &mut phases)?;
+        let cfg = prefix.cfg;
+        let (icfg, va, value_fp) = prefix.context?;
 
         // ---- Phase 3: loop bounds.
         stamp_exec::cancel::checkpoint_now();

@@ -179,7 +179,7 @@ impl ArtifactStore {
         }
     }
 
-    /// A disabled store: every claim answers [`ArtifactClaim::Disabled`]
+    /// A disabled store: every claim answers `ArtifactClaim::Disabled`
     /// and nothing is retained — the zero-overhead path of
     /// `--no-artifact-cache` and of one-shot [`crate::WcetAnalysis::run`].
     pub fn disabled() -> ArtifactStore {

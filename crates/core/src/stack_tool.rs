@@ -1,9 +1,11 @@
 //! The StackAnalyzer product: per-task worst-case stack bounds.
 //!
 //! The stack tool rides the same phase graph as the WCET analyzer: its
-//! CFG / context / value prefix (always at default VIVU and value
-//! options — stack bounds do not depend on unrolling contexts) goes
-//! through the shared [`ArtifactStore`], so in a batch a target's stack
+//! CFG / context / value prefix is the WCET driver's own CFG ↔ value
+//! loop, which resolves indirect jumps before any bound is taken
+//! (always at default VIVU and value options — stack bounds do not
+//! depend on unrolling contexts). It goes through the shared
+//! [`ArtifactStore`], so in a batch a target's stack
 //! analysis and its WCET analysis share one value fixpoint, and a
 //! hardware sweep shares the stack bound itself across variants (only
 //! the memory map reaches the stack fingerprint).
@@ -11,14 +13,12 @@
 use std::collections::BTreeMap;
 use std::time::Instant;
 
-use stamp_ai::{Icfg, IcfgError, VivuConfig};
-use stamp_cfg::CfgBuilder;
+use stamp_ai::IcfgError;
 use stamp_hw::HwConfig;
 use stamp_isa::Program;
 use stamp_stack::{FunctionStack, StackOptions};
-use stamp_value::ValueOptions;
 
-use crate::analyzer::value_phase;
+use crate::analyzer::{resolve_prefix, AnalysisConfig};
 use crate::annot::Annotations;
 use crate::artifact::ArtifactStore;
 use crate::error::AnalysisError;
@@ -167,58 +167,25 @@ impl<'p> StackAnalysis<'p> {
         store: &ArtifactStore,
     ) -> Result<StackReport, AnalysisError> {
         let mut phases: Vec<PhaseStats> = Vec::new();
-        let program_fp = phase::program_fingerprint(program);
         let extra = self.annotations.resolved_indirects(program);
         let recursion = self.annotations.resolved_recursion(program);
+        let config = AnalysisConfig { hw: self.hw, ..AnalysisConfig::default() };
+        let prefix = resolve_prefix(store, program, extra, &config, &mut phases)?;
+        let cfg = &prefix.cfg;
 
         // Phase boundary = cancellation point (see the WCET driver).
         stamp_exec::cancel::checkpoint_now();
         let t = Instant::now();
-        let cfg_fp = phase::cfg_fingerprint(program_fp, &extra);
-        let (cfg, reused) = store.get_or_compute(PhaseId::Cfg, cfg_fp, || {
-            let mut builder = CfgBuilder::new(program);
-            for (a, ts) in &extra {
-                builder.indirect_targets(*a, ts.iter().copied());
-            }
-            builder.build().map_err(AnalysisError::from)
-        })?;
-        phases.push(PhaseStats { phase: PhaseId::Cfg, seconds: t.elapsed().as_secs_f64(), reused });
-
-        let t = Instant::now();
-        let vivu = VivuConfig::default();
-        let context_fp = phase::context_fingerprint(cfg_fp, &vivu);
-        let icfg_result = store.get_or_compute(PhaseId::Context, context_fp, || {
-            Icfg::build(&cfg, &vivu).map_err(AnalysisError::from)
-        });
-
-        match icfg_result {
-            Ok((icfg, reused)) => {
-                phases.push(PhaseStats {
-                    phase: PhaseId::Context,
-                    seconds: t.elapsed().as_secs_f64(),
-                    reused,
-                });
-                let t = Instant::now();
-                let value_opts = ValueOptions::default();
-                let value_fp = phase::value_fingerprint(context_fp, &self.hw.mem, &value_opts);
-                let (va, reused) =
-                    value_phase(store, value_fp, program, &self.hw, &cfg, &icfg, &value_opts);
-                phases.push(PhaseStats {
-                    phase: PhaseId::Value,
-                    seconds: t.elapsed().as_secs_f64(),
-                    reused,
-                });
-
-                stamp_exec::cancel::checkpoint_now();
-                let t = Instant::now();
+        let (report, reused) = match prefix.context {
+            Ok((icfg, va, value_fp)) => {
                 let stack_fp = phase::stack_fingerprint(value_fp, &recursion);
-                let (report, reused) = store.get_or_compute(PhaseId::Stack, stack_fp, || {
-                    let precise = stamp_stack::analyze_icfg(program, &self.hw, &cfg, &icfg, &va)?;
+                store.get_or_compute(PhaseId::Stack, stack_fp, || {
+                    let precise = stamp_stack::analyze_icfg(program, &self.hw, cfg, &icfg, &va)?;
                     // The callgraph mode also provides the per-function
                     // table.
                     let breakdown = stamp_stack::analyze_callgraph(
                         program,
-                        &cfg,
+                        cfg,
                         &StackOptions { recursion_depths: recursion.clone() },
                     )
                     .map(|r| r.per_function)
@@ -229,13 +196,7 @@ impl<'p> StackAnalysis<'p> {
                         per_function: breakdown,
                         phases: Vec::new(),
                     })
-                })?;
-                phases.push(PhaseStats {
-                    phase: PhaseId::Stack,
-                    seconds: t.elapsed().as_secs_f64(),
-                    reused,
-                });
-                Ok(StackReport { phases, ..(*report).clone() })
+                })?
             }
             // Recursion: fall back to the compositional mode (the cached
             // context error carries the variant, so sharing jobs take
@@ -243,26 +204,33 @@ impl<'p> StackAnalysis<'p> {
             Err(AnalysisError::Icfg(
                 IcfgError::CallDepthExceeded { .. } | IcfgError::ContextExplosion { .. },
             )) => {
-                let t = Instant::now();
-                let stack_fp = phase::stack_callgraph_fingerprint(cfg_fp, &self.hw.mem, &recursion);
-                let (report, reused) = store.get_or_compute(PhaseId::Stack, stack_fp, || {
+                // Without a value analysis nothing resolves indirect
+                // jumps, and a call graph cut off at one is unsound.
+                if !cfg.unresolved_indirects().is_empty() {
+                    return Err(AnalysisError::UnresolvedIndirects {
+                        addrs: cfg.unresolved_indirects().to_vec(),
+                    });
+                }
+                let stack_fp =
+                    phase::stack_callgraph_fingerprint(prefix.cfg_fp, &self.hw.mem, &recursion);
+                store.get_or_compute(PhaseId::Stack, stack_fp, || {
                     let opts = StackOptions { recursion_depths: recursion.clone() };
-                    let r = stamp_stack::analyze_callgraph(program, &cfg, &opts)?;
+                    let r = stamp_stack::analyze_callgraph(program, cfg, &opts)?;
                     Ok(StackReport {
                         bound: r.total,
                         mode: "callgraph",
                         per_function: r.per_function,
                         phases: Vec::new(),
                     })
-                })?;
-                phases.push(PhaseStats {
-                    phase: PhaseId::Stack,
-                    seconds: t.elapsed().as_secs_f64(),
-                    reused,
-                });
-                Ok(StackReport { phases, ..(*report).clone() })
+                })?
             }
-            Err(e) => Err(e),
-        }
+            Err(e) => return Err(e),
+        };
+        phases.push(PhaseStats {
+            phase: PhaseId::Stack,
+            seconds: t.elapsed().as_secs_f64(),
+            reused,
+        });
+        Ok(StackReport { phases, ..(*report).clone() })
     }
 }

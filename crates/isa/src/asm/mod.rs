@@ -30,7 +30,7 @@
 mod expr;
 mod parse;
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 use std::error::Error;
 use std::fmt;
 
@@ -130,6 +130,8 @@ pub fn assemble_with(src: &str, opts: &AsmOptions) -> Result<Program, AsmError> 
     let mut placed: Vec<Placed> = Vec::new();
     let mut labels: Vec<(String, SectionSel, u32, u32)> = Vec::new();
     let mut consts: BTreeMap<String, i64> = BTreeMap::new();
+    // Every label and constant name defined so far.
+    let mut symbols: HashSet<String> = HashSet::new();
     let mut entry_sym: Option<(String, u32)> = None;
 
     for stmt in stmts {
@@ -137,14 +139,14 @@ pub fn assemble_with(src: &str, opts: &AsmOptions) -> Result<Program, AsmError> 
         match stmt {
             Stmt::Section(sel) => cur = sel,
             Stmt::Label { name, line } => {
-                if consts.contains_key(&name) || labels.iter().any(|(n, ..)| *n == name) {
+                if !symbols.insert(name.clone()) {
                     return Err(AsmError::new(line, format!("duplicate symbol `{name}`")));
                 }
                 labels.push((name, cur, *off, line));
             }
             Stmt::Equ { name, value } => {
                 let line = value.line;
-                if consts.contains_key(&name) || labels.iter().any(|(n, ..)| *n == name) {
+                if !symbols.insert(name.clone()) {
                     return Err(AsmError::new(line, format!("duplicate symbol `{name}`")));
                 }
                 let v = value.eval(&consts)?;

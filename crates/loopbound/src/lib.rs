@@ -95,9 +95,8 @@ impl LoopBoundAnalysis {
                 Ok(f) => f,
                 Err(_) => continue, // irreducible: reported by the ICFG stage
             };
-            let dom = cfg.dominators(func.id);
             for l in forest.loops() {
-                let pattern = InductionPattern::detect(cfg, &dom, l);
+                let pattern = InductionPattern::detect(cfg, forest.dominators(), l);
                 let annotated = options.annotations.get(&cfg.block(l.header).start).copied();
                 let mut missing: Vec<&LoopInstance> = Vec::new();
                 for inst in instances.of_header(l.header) {

@@ -55,6 +55,7 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
 use stamp_ai::{Frame, IEdge, IEdgeId, Icfg, NodeId};
+use stamp_cfg::digraph::{DomTree, Sccs};
 use stamp_ilp::{CmpOp, LpProblem};
 
 use crate::{Formula, InstanceRule, PathError};
@@ -169,124 +170,6 @@ impl SegLp {
     }
 }
 
-/// Cooper–Harvey–Kennedy iterative dominators over a reverse postorder.
-/// Returns the immediate dominator per node (entry maps to itself).
-fn dominators(icfg: &Icfg, rpo: &[u32], rpo_num: &[u32]) -> Vec<u32> {
-    let n = icfg.nodes().len();
-    let entry = icfg.entry().index();
-    let mut idom = vec![u32::MAX; n];
-    idom[entry] = entry as u32;
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for &u in rpo.iter().skip(1) {
-            let mut new_idom = u32::MAX;
-            for e in icfg.preds(NodeId(u)) {
-                let p = e.from.index();
-                if idom[p] == u32::MAX {
-                    continue;
-                }
-                new_idom = if new_idom == u32::MAX {
-                    p as u32
-                } else {
-                    intersect(new_idom, p as u32, &idom, rpo_num)
-                };
-            }
-            if new_idom != u32::MAX && idom[u as usize] != new_idom {
-                idom[u as usize] = new_idom;
-                changed = true;
-            }
-        }
-    }
-    idom
-}
-
-/// Nearest common dominator of two nodes (the classic two-finger walk).
-fn intersect(mut a: u32, mut b: u32, idom: &[u32], rpo_num: &[u32]) -> u32 {
-    while a != b {
-        while rpo_num[a as usize] > rpo_num[b as usize] {
-            a = idom[a as usize];
-        }
-        while rpo_num[b as usize] > rpo_num[a as usize] {
-            b = idom[b as usize];
-        }
-    }
-    a
-}
-
-/// Marks every node that lies on some cycle: members of a non-trivial
-/// strongly connected component, or targets of a self-loop. Iterative
-/// Tarjan, since generated call chains can be deep.
-fn on_cycle(icfg: &Icfg) -> Vec<bool> {
-    let n = icfg.nodes().len();
-    let mut cyclic = vec![false; n];
-    for e in icfg.edges() {
-        if e.from == e.to {
-            cyclic[e.to.index()] = true;
-        }
-    }
-    let mut index = vec![u32::MAX; n];
-    let mut low = vec![0u32; n];
-    let mut on_stack = vec![false; n];
-    let mut scc_stack: Vec<u32> = Vec::new();
-    let mut next_index = 0u32;
-    let mut dfs: Vec<(u32, usize)> = Vec::new();
-    for root in 0..n as u32 {
-        if index[root as usize] != u32::MAX {
-            continue;
-        }
-        dfs.push((root, 0));
-        index[root as usize] = next_index;
-        low[root as usize] = next_index;
-        next_index += 1;
-        on_stack[root as usize] = true;
-        scc_stack.push(root);
-        while let Some(top) = dfs.last_mut() {
-            let (u, cursor) = (top.0, top.1);
-            match icfg.succs(NodeId(u)).nth(cursor) {
-                Some(e) => {
-                    dfs.last_mut().expect("nonempty").1 += 1;
-                    let v = e.to.index();
-                    if index[v] == u32::MAX {
-                        index[v] = next_index;
-                        low[v] = next_index;
-                        next_index += 1;
-                        on_stack[v] = true;
-                        scc_stack.push(v as u32);
-                        dfs.push((v as u32, 0));
-                    } else if on_stack[v] {
-                        low[u as usize] = low[u as usize].min(index[v]);
-                    }
-                }
-                None => {
-                    dfs.pop();
-                    if let Some(&(p, _)) = dfs.last() {
-                        low[p as usize] = low[p as usize].min(low[u as usize]);
-                    }
-                    if low[u as usize] == index[u as usize] {
-                        // Pop the component; size ≥ 2 means a cycle.
-                        let mut members: Vec<u32> = Vec::new();
-                        loop {
-                            let w = scc_stack.pop().expect("scc stack");
-                            on_stack[w as usize] = false;
-                            members.push(w);
-                            if w == u {
-                                break;
-                            }
-                        }
-                        if members.len() >= 2 {
-                            for w in members {
-                                cyclic[w as usize] = true;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-    cyclic
-}
-
 /// Does this node's calling context carry any loop frame? Such nodes
 /// sit between a loop's peeled and steady-state contexts (or inside a
 /// callee invoked from a loop body); cutting there would split that
@@ -311,18 +194,20 @@ pub(crate) fn solve_summarized(
     if exits.is_empty() || n == 0 {
         return Ok(None);
     }
-    // The reverse postorder `Icfg::build` stored; a node unreachable
-    // from the entry (index `u32::MAX`) makes decomposition step aside.
-    let rpo_num: Vec<u32> = icfg.nodes().iter().map(|nd| icfg.rpo_index(nd.id)).collect();
-    let mut rpo = vec![0u32; n];
-    for (u, &r) in rpo_num.iter().enumerate() {
-        let Some(slot) = rpo.get_mut(r as usize) else {
-            return Ok(None);
-        };
-        *slot = u as u32;
+    // A node unreachable from the entry makes decomposition step aside.
+    let succs = |u: u32| icfg.succs(NodeId(u)).map(|e| e.to.0);
+    let entry = icfg.entry().0;
+    let dom = DomTree::new(n, entry, succs);
+    if dom.rpo().len() != n {
+        return Ok(None);
     }
-    let idom = dominators(icfg, &rpo, &rpo_num);
-    let cyclic = on_cycle(icfg);
+    // A node lies on a cycle when its strongly connected component has
+    // two or more members or it carries a self-loop.
+    let mut cyclic: Vec<bool> =
+        icfg.nodes().iter().map(|nd| icfg.succs(nd.id).any(|e| e.to == nd.id)).collect();
+    for members in Sccs::new(n, succs).iter().filter(|m| m.len() > 1) {
+        members.iter().for_each(|&u| cyclic[u as usize] = true);
+    }
     let mut is_exit = vec![false; n];
     for &x in exits {
         is_exit[x.index()] = true;
@@ -330,16 +215,15 @@ pub(crate) fn solve_summarized(
 
     // Candidate cuts: the dominator chain of the exits' nearest common
     // dominator, entry-side first, filtered to valid series points.
-    let entry = icfg.entry().index() as u32;
-    let mut ncd = exits[0].index() as u32;
+    let mut ncd = exits[0].0;
     for &x in &exits[1..] {
-        ncd = intersect(ncd, x.index() as u32, &idom, &rpo_num);
+        ncd = dom.nearest_common_dominator(ncd, x.0).expect("every node is reachable");
     }
     let mut chain: Vec<u32> = Vec::new();
     let mut c = ncd;
-    while c != entry {
+    while let Some(d) = dom.idom(c) {
         chain.push(c);
-        c = idom[c as usize];
+        c = d;
     }
     chain.reverse();
     let cuts: Vec<u32> = chain
@@ -359,8 +243,8 @@ pub(crate) fn solve_summarized(
         cut_no[c as usize] = j;
     }
     let mut seg = vec![0usize; n];
-    for &u in rpo.iter().skip(1) {
-        let d = idom[u as usize] as usize;
+    for &u in &dom.rpo()[1..] {
+        let d = dom.idom(u).expect("reachable") as usize;
         seg[u as usize] = seg[d] + usize::from(cut_no[d] != usize::MAX);
     }
 

@@ -2,7 +2,8 @@
 
 use std::collections::BTreeMap;
 
-use stamp_cfg::{BlockId, Cfg, FuncId};
+use stamp_cfg::digraph::Sccs;
+use stamp_cfg::{BlockId, CallSite, Cfg, FuncId};
 use stamp_isa::{AluOp, Insn, Program, Reg};
 
 use crate::{StackError, StackOptions, StackResult};
@@ -36,7 +37,7 @@ pub fn analyze_callgraph(
 ) -> Result<StackResult, StackError> {
     let _ = program;
     // ---- Per-function local frame analysis.
-    let mut local: BTreeMap<FuncId, i64> = BTreeMap::new(); // deepest (≥ 0)
+    let mut local: Vec<i64> = Vec::with_capacity(cfg.functions().len()); // deepest (≥ 0)
     let mut call_disp: BTreeMap<BlockId, i64> = BTreeMap::new(); // at call insn
     for f in cfg.functions() {
         let mut deltas: BTreeMap<BlockId, i64> = BTreeMap::new();
@@ -79,46 +80,34 @@ pub fn analyze_callgraph(
                 }
             }
         }
-        local.insert(f.id, -deepest);
+        local.push(-deepest);
     }
 
-    // ---- Call-graph SCCs (Tarjan).
+    // ---- Call-graph SCCs, emitted callee-first.
     let n = cfg.functions().len();
     let callees: Vec<Vec<FuncId>> = cfg.functions().iter().map(|f| cfg.callees(f.id)).collect();
-    let sccs = tarjan(n, &callees);
-    let scc_of: BTreeMap<FuncId, usize> = sccs
-        .iter()
-        .enumerate()
-        .flat_map(|(i, members)| members.iter().map(move |&f| (f, i)))
-        .collect();
+    let sccs = Sccs::new(n, |f| callees[f as usize].iter().map(|g| g.0));
 
     // ---- Usage per function, processing SCCs in reverse topological
-    // order (Tarjan emits them callee-first).
-    let mut usage: BTreeMap<FuncId, u64> = BTreeMap::new();
-    for members in &sccs {
+    // order. A call site's contribution is its caller's displacement at
+    // the call plus the callee's usage.
+    let site_usage = |usage: &[u64], cs: &CallSite, g: FuncId| {
+        let disp = (-call_disp.get(&cs.block).copied().unwrap_or(0)).max(0) as u64;
+        disp + usage[g.index()]
+    };
+    let mut usage: Vec<u64> = vec![0; n];
+    for (i, members) in sccs.iter().enumerate() {
+        let members: Vec<FuncId> = members.iter().map(|&f| FuncId(f)).collect();
         let cyclic = members.len() > 1 || callees[members[0].index()].contains(&members[0]);
-        // Worst external contribution from any member's call site.
-        let mut external: u64 = 0;
-        for &f in members {
-            for cs in cfg.call_sites().iter().filter(|c| cfg.block(c.block).func == f) {
-                let disp = (-call_disp.get(&cs.block).copied().unwrap_or(0)).max(0) as u64;
-                for &g in cs.callee.targets() {
-                    if scc_of[&g] != scc_of[&f] {
-                        external = external.max(disp + usage[&g]);
-                    }
-                }
-            }
-        }
         if !cyclic {
             let f = members[0];
-            let mut u = local[&f] as u64;
-            for cs in cfg.call_sites().iter().filter(|c| cfg.block(c.block).func == f) {
-                let disp = (-call_disp.get(&cs.block).copied().unwrap_or(0)).max(0) as u64;
+            let mut u = local[f.index()] as u64;
+            for cs in cfg.call_sites_of(f) {
                 for &g in cs.callee.targets() {
-                    u = u.max(disp + usage[&g]);
+                    u = u.max(site_usage(&usage, cs, g));
                 }
             }
-            usage.insert(f, u);
+            usage[f.index()] = u;
         } else {
             // Recursive cycle: needs a depth annotation on some member.
             let depth = members
@@ -128,84 +117,34 @@ pub fn analyze_callgraph(
                 .ok_or_else(|| StackError::Recursion {
                     function: cfg.func(members[0]).name.clone(),
                 })?;
-            let per_level: u64 = members.iter().map(|&f| local[&f] as u64).sum();
+            // Worst external contribution from any member's call site.
+            let mut external: u64 = 0;
+            for &f in &members {
+                for cs in cfg.call_sites_of(f) {
+                    for &g in cs.callee.targets() {
+                        if sccs.component_of(g.0) != i {
+                            external = external.max(site_usage(&usage, cs, g));
+                        }
+                    }
+                }
+            }
+            let per_level: u64 = members.iter().map(|&f| local[f.index()] as u64).sum();
             let bound = depth as u64 * per_level + external;
-            for &f in members {
-                usage.insert(f, bound);
+            for &f in &members {
+                usage[f.index()] = bound;
             }
         }
     }
 
-    let entry = cfg.entry_func();
     let per_function = cfg
         .functions()
         .iter()
         .map(|f| {
-            (
-                f.name.clone(),
-                FunctionStack { local: local[&f.id] as u32, usage: usage[&f.id] as u32 },
-            )
+            let (local, usage) = (local[f.id.index()] as u32, usage[f.id.index()] as u32);
+            (f.name.clone(), FunctionStack { local, usage })
         })
         .collect();
-    Ok(StackResult { total: usage[&entry] as u32, per_function })
-}
-
-/// Tarjan's SCC algorithm; emits components callee-first.
-fn tarjan(n: usize, succs: &[Vec<FuncId>]) -> Vec<Vec<FuncId>> {
-    struct St<'a> {
-        succs: &'a [Vec<FuncId>],
-        index: Vec<Option<u32>>,
-        low: Vec<u32>,
-        on_stack: Vec<bool>,
-        stack: Vec<usize>,
-        next: u32,
-        out: Vec<Vec<FuncId>>,
-    }
-    fn visit(st: &mut St<'_>, v: usize) {
-        st.index[v] = Some(st.next);
-        st.low[v] = st.next;
-        st.next += 1;
-        st.stack.push(v);
-        st.on_stack[v] = true;
-        for w in st.succs[v].clone() {
-            let w = w.index();
-            match st.index[w] {
-                None => {
-                    visit(st, w);
-                    st.low[v] = st.low[v].min(st.low[w]);
-                }
-                Some(wi) if st.on_stack[w] => st.low[v] = st.low[v].min(wi),
-                _ => {}
-            }
-        }
-        if Some(st.low[v]) == st.index[v] {
-            let mut comp = Vec::new();
-            loop {
-                let w = st.stack.pop().expect("non-empty");
-                st.on_stack[w] = false;
-                comp.push(FuncId(w as u32));
-                if w == v {
-                    break;
-                }
-            }
-            st.out.push(comp);
-        }
-    }
-    let mut st = St {
-        succs,
-        index: vec![None; n],
-        low: vec![0; n],
-        on_stack: vec![false; n],
-        stack: Vec::new(),
-        next: 0,
-        out: Vec::new(),
-    };
-    for v in 0..n {
-        if st.index[v].is_none() {
-            visit(&mut st, v);
-        }
-    }
-    st.out
+    Ok(StackResult { total: usage[cfg.entry_func().index()] as u32, per_function })
 }
 
 impl stamp_codec::Codec for FunctionStack {
